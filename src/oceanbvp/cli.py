@@ -15,9 +15,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -135,14 +133,11 @@ def reproduce_tables(skip=()):
     """Re-run the comparison configurations, in deterministic row order.
 
     Returns per-kind dicts with the analytic caption value and annotated
-    rows.  BVP_SEED_THREADS caps the worker count for the independent
-    configurations (default: sequential).
+    rows.
     """
     rows = [r for r in benchmarks.COMPARISON_ROWS
             if not any(s in r.method for s in skip)]
-    workers = max(1, int(os.environ.get("BVP_SEED_THREADS", "1")))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        computed = list(pool.map(_comparison_cell, rows))
+    computed = [_comparison_cell(row) for row in rows]
     out = {}
     for kind in (BcKind.NO_SLIP, BcKind.SLIP):
         entries = []

@@ -51,21 +51,6 @@ def default_initial_guess(J):
     return np.column_stack([z, 0.5 * z, 1.0 - z, np.full(J + 1, 2.0)])
 
 
-def _augmented_rhs(V, p):
-    # F(z, V) = (u4 * f(u), 0): the state equations stretched by the
-    # boundary unknown, which itself satisfies du4/dz = 0.
-    out = np.zeros(4)
-    out[:3] = V[3] * model.rhs(0.0, V[:3], p)
-    return out
-
-
-def _augmented_jacobian(V, p):
-    Jf = np.zeros((4, 4))
-    Jf[:3, :3] = V[3] * model.rhs_jacobian(0.0, V[:3], p)
-    Jf[:3, 3] = model.rhs(0.0, V[:3], p)
-    return Jf
-
-
 def _boundary_blocks(prob):
     m = 4
     A = np.zeros((m, m))
@@ -101,15 +86,15 @@ def build_system(prob):
         return interior, boundary
 
     def jacobian(V):
+        # Box-scheme blocks -I - dz/2 G and I - dz/2 G, G the Jacobian of
+        # (u4 f(u), 0) at the interval midpoints.
         avg = 0.5 * (V[1:] + V[:-1])
+        half = np.zeros((J, 4, 4))
+        half[:, :3, :3] = 0.5 * dz * (
+            avg[:, 3, None, None] * model.rhs_jacobian(0.0, avg[:, :3], p))
+        half[:, :3, 3] = 0.5 * dz * _rhs_batch(avg[:, :3], p)
         eye = np.eye(4)
-        L = np.empty((J, 4, 4))
-        R = np.empty((J, 4, 4))
-        for j in range(J):
-            half = 0.5 * dz * _augmented_jacobian(avg[j], p)
-            L[j] = -eye - half
-            R[j] = eye - half
-        return L, R, A, C
+        return -eye - half, eye - half, A, C
 
     return blocksolve.BlockSystem(J=J, m=4, residual=residual,
                                   jacobian=jacobian)

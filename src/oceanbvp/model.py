@@ -52,13 +52,19 @@ def rhs(xi, u, p):
 
 
 def rhs_jacobian(xi, u, p):
-    """Analytic Jacobian df/du, used by the Newton iterations."""
-    u1, u2, u3 = u
-    return np.array([
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [1.0 - p.b * u3, 2.0 * p.b * u2, -p.b * u1],
-    ])
+    """Analytic Jacobian df/du, used by the Newton iterations.
+
+    ``u`` may be one state (3,) or a batch (..., 3); the result has shape
+    (..., 3, 3).
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape[:-1] + (3, 3))
+    out[..., 0, 1] = 1.0
+    out[..., 1, 2] = 1.0
+    out[..., 2, 0] = 1.0 - p.b * u[..., 2]
+    out[..., 2, 1] = 2.0 * p.b * u[..., 1]
+    out[..., 2, 2] = -p.b * u[..., 0]
+    return out
 
 
 def rhs_variational(xi, U, p):

@@ -128,14 +128,10 @@ def build_system(params, kind, grid, freeze_last_weights=True):
 
     def jacobian(U):
         avg = bw[:, None] * U[1:] + cw[:, None] * U[:-1]
+        Jf = model.rhs_jacobian(0.0, avg, p)
         eye = np.eye(3)
-        L = np.empty((J, 3, 3))
-        R = np.empty((J, 3, 3))
-        for j in range(J):
-            Jf = model.rhs_jacobian(0.0, avg[j], p)
-            L[j] = -eye - a[j] * cw[j] * Jf
-            R[j] = eye - a[j] * bw[j] * Jf
-        return L, R, A, C
+        return (-eye - (a * cw)[:, None, None] * Jf,
+                eye - (a * bw)[:, None, None] * Jf, A, C)
 
     return blocksolve.BlockSystem(J=J, m=3, residual=residual,
                                   jacobian=jacobian)

@@ -91,8 +91,11 @@ def shoot_residual(beta, prob):
 
 def _converged(beta, beta_prev, F, tol):
     # Conjunction of the relative beta-update test and the residual test;
-    # neither alone terminates the iteration.
-    return abs(beta - beta_prev) / abs(beta) < tol and abs(F) < tol
+    # neither alone terminates the iteration.  The relative test is taken
+    # in multiplied form; at beta = 0 it has no scale and the update is
+    # compared with tol directly.
+    scale = abs(beta) if beta != 0.0 else 1.0
+    return abs(beta - beta_prev) < tol * scale and abs(F) < tol
 
 
 # Post-processing accuracy: the reported profile is integrated much

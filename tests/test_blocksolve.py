@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from oceanbvp import blocksolve
+from oceanbvp import blocksolve, free_boundary, model
 from oceanbvp.blocksolve import (BlockSystem, NewtonMaxIterations,
-                                 SingularJacobian, check_jacobian,
-                                 dense_jacobian_from_blocks, newton_solve,
-                                 solve_bordered_block)
+                                 NonFiniteIterate, SingularJacobian,
+                                 check_jacobian, dense_jacobian_from_blocks,
+                                 newton_solve, solve_bordered_block)
+from oceanbvp.free_boundary import FbfProblem
+from oceanbvp.model import BcKind, ModelParams
 
 
 def random_blocks(rng, J, m):
@@ -106,6 +108,55 @@ class TestBorderedSolve:
             solve_bordered_block(L, R, A, C, np.zeros((J, m)), np.zeros(m))
 
 
+    def test_every_reduction_split_matches_dense(self):
+        # J = 1..40 runs through every pattern of odd and even equation
+        # counts across the reduction levels.
+        rng = np.random.default_rng(11)
+        for J in range(1, 41):
+            for m in range(1, 5):
+                L, R, A, C = random_blocks(rng, J, m)
+                ri = rng.standard_normal((J, m))
+                rb = rng.standard_normal(m)
+                x = solve_bordered_block(L, R, A, C, ri, rb)
+                expect = dense_solve(L, R, A, C, ri, rb)
+                err = np.max(np.abs(x - expect)) / np.max(np.abs(expect))
+                assert err < 1e-10, (J, m, err)
+
+    def test_free_boundary_jacobian_at_converged_state(self):
+        # The real box-scheme Jacobian carries the growing mode of the
+        # linearization, so it is far worse conditioned than the random
+        # instances.
+        prob = FbfProblem(params=ModelParams(2.0), kind=BcKind.NO_SLIP,
+                          eps=1e-5, J=300)
+        sol, _ = free_boundary.solve_fbf(prob)
+        V = np.column_stack([sol.u, np.full(prob.J + 1, sol.free_boundary)])
+        L, R, A, C = free_boundary.build_system(prob).jacobian(V)
+        rng = np.random.default_rng(12)
+        ri = rng.standard_normal((prob.J, 4))
+        rb = rng.standard_normal(4)
+        x = solve_bordered_block(L, R, A, C, ri, rb)
+        expect = dense_solve(L, R, A, C, ri, rb)
+        assert np.max(np.abs(x - expect)) / np.max(np.abs(expect)) < 1e-10
+
+    def test_singular_interior_pair_names_its_node(self):
+        # Equations 2 and 3 both drop node 3, the node they share.
+        rng = np.random.default_rng(13)
+        L, R, A, C = random_blocks(rng, 8, 2)
+        R[2] = 0.0
+        L[3] = 0.0
+        with pytest.raises(SingularJacobian, match="node 3$"):
+            solve_bordered_block(L, R, A, C, rng.standard_normal((8, 2)),
+                                 rng.standard_normal(2))
+
+    def test_empty_boundary_rows_name_the_far_node(self):
+        rng = np.random.default_rng(15)
+        L, R, _, _ = random_blocks(rng, 5, 2)
+        zero = np.zeros((2, 2))
+        with pytest.raises(SingularJacobian, match="node 5$"):
+            solve_bordered_block(L, R, zero, zero,
+                                 rng.standard_normal((5, 2)), np.zeros(2))
+
+
 class TestNewtonSolve:
     def test_affine_converges_in_one_iteration(self):
         rng = np.random.default_rng(5)
@@ -152,6 +203,23 @@ class TestNewtonSolve:
         with pytest.raises(NewtonMaxIterations):
             newton_solve(sys, np.full((4, 1), 0.5), tol=1e-12, max_iter=10)
 
+    def test_nan_residual_fails_in_first_iteration(self):
+        solves = []
+
+        def residual(V):
+            return np.full((3, 1), np.nan), np.zeros(1)
+
+        def jacobian(V):
+            solves.append(1)
+            return (np.full((3, 1, 1), -1.0), np.ones((3, 1, 1)),
+                    np.ones((1, 1)), np.zeros((1, 1)))
+
+        sys = BlockSystem(J=3, m=1, residual=residual, jacobian=jacobian)
+        with pytest.raises(NonFiniteIterate, match="iteration 1$") as err:
+            newton_solve(sys, np.zeros((4, 1)), tol=1e-8, max_iter=50)
+        assert err.value.iteration == 1
+        assert solves == []
+
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         L, R, A, C = random_blocks(rng, 3, 2)
@@ -180,3 +248,15 @@ class TestCheckJacobian:
         sys = affine_system(L, R, A, C, rng.standard_normal((4, 3)),
                             rng.standard_normal(3))
         assert check_jacobian(sys, rng.standard_normal((5, 3))) < 1e-9
+
+
+class TestBatchedModelJacobian:
+    def test_batch_equals_stacked_single_states(self):
+        rng = np.random.default_rng(14)
+        p = ModelParams(2.0)
+        u = rng.standard_normal((17, 3))
+        batch = model.rhs_jacobian(0.0, u, p)
+        assert batch.shape == (17, 3, 3)
+        for state, jac in zip(u, batch):
+            np.testing.assert_array_equal(jac,
+                                          model.rhs_jacobian(0.0, state, p))

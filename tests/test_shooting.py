@@ -140,6 +140,13 @@ class TestTermination:
         assert not _converged(1.0, 1.5, 1e-9, tol)
         assert _converged(1.0, 1.0 + 1e-9, 1e-9, tol)
 
+    def test_beta_zero_uses_absolute_update(self):
+        tol = 1e-6
+        assert _converged(0.0, 1e-9, 1e-9, tol)
+        assert _converged(0.0, -1e-9, 1e-9, tol)
+        assert not _converged(0.0, 0.5, 1e-9, tol)
+        assert not _converged(0.0, 1e-9, 0.5, tol)
+
     def test_residual_criterion_enforced_behaviorally(self):
         # Seeds straddling the root so tightly that the first update is
         # already below the relative tolerance: the loop must still keep
