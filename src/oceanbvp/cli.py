@@ -15,18 +15,23 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import benchmarks, free_boundary, quasi_uniform, shooting
-from .free_boundary import FbfProblem
+from .blocksolve import NewtonMaxIterations, NonFiniteIterate, \
+    SingularJacobian
+from .free_boundary import FbfProblem, NegativeFreeBoundary
+from .ivp import IntegrationError
 from .model import BcKind, ModelParams, approx_missing_init
-from .shooting import ShootingProblem
+from .shooting import ShootingError, ShootingProblem
 
 COMPARISON_HEADER = ["method", "boundary", "gridpoints", "iterations", "beta"]
 PROFILE_HEADER = ["xi", "u", "du", "d2u"]
-SWEEP_HEADER = ["b", "beta_numeric", "beta_approx", "relative_gap", "status"]
+SWEEP_HEADER = ["b", "beta_numeric", "beta_approx", "relative_gap", "status",
+                "error"]
 
 
 class ConfigError(Exception):
@@ -45,8 +50,11 @@ def _require(args, *names):
 
 
 def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
-                eps_list=None, J=None, c=None, tol=1e-6):
-    """Run one solver configuration; returns (report dict, MeshSolution)."""
+                eps_list=None, J=None, c=None, tol=1e-6, initial=None):
+    """Run one solver configuration; returns (report dict, MeshSolution).
+
+    ``initial`` warm-starts the fbf and qug solves from a full iterate.
+    """
     params = ModelParams(b=b)
     if method in ("shoot-secant", "shoot-newton"):
         prob = ShootingProblem(params=params, kind=kind,
@@ -69,7 +77,7 @@ def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
     if method == "fbf":
         prob = FbfProblem(params=params, kind=kind, eps=eps_list[0],
                           J=J or 2000, tol=tol)
-        sol, rep = free_boundary.solve_fbf(prob)
+        sol, rep = free_boundary.solve_fbf(prob, initial=initial)
         report = {
             "method": method, "bc": kind.value, "b": b,
             "beta": sol.beta, "boundary": sol.free_boundary,
@@ -99,7 +107,7 @@ def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
         return report, sol
     if method == "qug":
         sol, rep = quasi_uniform.solve_qug(c or 5.0, J or 200, params,
-                                           kind, tol=tol)
+                                           kind, tol=tol, initial=initial)
         report = {
             "method": method, "bc": kind.value, "b": b,
             "beta": sol.beta, "boundary": "inf",
@@ -194,31 +202,47 @@ def _emit_tables(result, fmt, stream):
 
 # -- sweep -------------------------------------------------------------------
 
+# Failures of a single solve; a sweep records them in the row and goes on.
+# Anything else (a bad argument, a bug) propagates.
+SOLVER_ERRORS = (ShootingError, IntegrationError, SingularJacobian,
+                 NewtonMaxIterations, NonFiniteIterate, NegativeFreeBoundary)
+
+_ITERATE_OF = {"fbf": free_boundary.iterate_of,
+               "qug": quasi_uniform.iterate_of}
+
+
 def sweep_b(b_values, method, kind, J=None, c=None):
-    """Solve over b values (warm-started in order for the shooting
-    methods) and tabulate the gap to the closed-form approximation."""
+    """Solve over b values in order and tabulate the gap to the closed-form
+    approximation.  Each solve is warm-started from the last converged
+    one: shooting from its beta, relaxation from its full iterate."""
+    b_values = list(b_values)
+    for b in b_values:
+        if not (math.isfinite(b) and b >= 0):
+            raise ConfigError(f"b values must be finite and non-negative, "
+                              f"got {b}")
     rows = []
     prev_beta = 1.0
+    state = None
     for b in b_values:
-        if b < 0:
-            raise ConfigError("b values must be non-negative")
         approx = approx_missing_init(kind, b)
         try:
             if method in ("shoot-secant", "shoot-newton"):
                 report, _ = _run_solver(method, kind, b, beta0=prev_beta,
                                         beta1=prev_beta * 1.1 + 1e-3)
             else:
-                report, _ = _run_solver(method, kind, b, eps_list=[1e-5],
-                                        J=J, c=c)
-        except Exception:
+                report, sol = _run_solver(method, kind, b, eps_list=[1e-5],
+                                          J=J, c=c, initial=state)
+                state = _ITERATE_OF[method](sol)
+        except SOLVER_ERRORS as err:
             rows.append({"b": b, "beta_numeric": "", "beta_approx": approx,
-                         "relative_gap": "", "status": "failed"})
+                         "relative_gap": "", "status": "failed",
+                         "error": f"{type(err).__name__}: {err}"})
             continue
         beta = report["beta"]
         prev_beta = beta
         rows.append({"b": b, "beta_numeric": beta, "beta_approx": approx,
                      "relative_gap": abs(beta - approx) / max(abs(beta), 1e-300),
-                     "status": "ok"})
+                     "status": "ok", "error": ""})
     return rows
 
 
@@ -327,12 +351,6 @@ def _validated_knobs(args):
         raise ConfigError("--eps is required for fbf-continuation")
     return dict(beta0=args.beta0, beta1=args.beta1, xi_inf=args.xi_inf,
                 eps_list=eps, J=args.J, c=args.c, tol=args.tol)
-
-
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return None
 
 
 def main(argv=None):

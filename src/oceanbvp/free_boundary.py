@@ -75,7 +75,7 @@ def build_system(prob):
     def residual(V):
         avg = 0.5 * (V[1:] + V[:-1])
         F = np.zeros((J, 4))
-        F[:, :3] = avg[:, 3, None] * _rhs_batch(avg[:, :3], p)
+        F[:, :3] = avg[:, 3, None] * model.rhs(0.0, avg[:, :3], p)
         interior = V[1:] - V[:-1] - dz * F
         boundary = np.array([
             V[0, 0],
@@ -92,18 +92,12 @@ def build_system(prob):
         half = np.zeros((J, 4, 4))
         half[:, :3, :3] = 0.5 * dz * (
             avg[:, 3, None, None] * model.rhs_jacobian(0.0, avg[:, :3], p))
-        half[:, :3, 3] = 0.5 * dz * _rhs_batch(avg[:, :3], p)
+        half[:, :3, 3] = 0.5 * dz * model.rhs(0.0, avg[:, :3], p)
         eye = np.eye(4)
         return -eye - half, eye - half, A, C
 
     return blocksolve.BlockSystem(J=J, m=4, residual=residual,
                                   jacobian=jacobian)
-
-
-def _rhs_batch(u, p):
-    # Vectorized model RHS over an (n, 3) array of states.
-    u1, u2, u3 = u.T
-    return np.column_stack([u2, u3, p.b * (u2 * u2 - u1 * u3) + u1 - 1.0])
 
 
 def fbf_residual(V, prob):
@@ -164,7 +158,11 @@ def continuation_solve(prob, eps_sequence):
         except Exception as err:  # report completed prefix with the failure
             return results, err
         results.append((sol, report))
-        # warm start: full state carried over, u4 unchanged
-        state = np.column_stack([sol.u, np.full(prob.J + 1,
-                                                sol.free_boundary)])
+        state = iterate_of(sol)
     return results, None
+
+
+def iterate_of(sol):
+    """The full (J+1, 4) iterate behind a solution, to warm-start a solve:
+    the nodal states with the constant u4 = xi_eps appended."""
+    return np.column_stack([sol.u, np.full(len(sol.u), sol.free_boundary)])

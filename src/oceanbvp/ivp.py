@@ -5,9 +5,15 @@ evaluations per attempted step, plus one start-up evaluation.  The step is
 controlled on the third-order solution with an RMS error norm, safety 0.9
 and step-factor clamp [0.2, 5].  Accounting (accepted/rejected steps,
 evaluations) is reported so shooting costs can be compared.
+
+The states of shooting have three or six components, so the state is a
+tuple of Python floats and every stage is a comprehension: on vectors
+this small, per-call numpy overhead would cost several times the
+arithmetic.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,30 +80,44 @@ class IvpStats:
 def step_bs23(rhs, t, y, h, f_start=None):
     """One embedded BS23 step of size h from (t, y).
 
-    Returns (second-order solution, third-order solution, new evaluations,
-    final slope).  The final slope is f at the third-order solution and can
-    be reused as ``f_start`` of the next step (FSAL); when ``f_start`` is
-    omitted it is computed here, adding one evaluation.
+    ``y`` is a sequence of floats and ``rhs(t, y)`` receives a tuple and
+    returns a sequence of floats.  Returns (second-order solution,
+    third-order solution, new evaluations, final slope) with both
+    solutions as tuples.  The final slope is f at the third-order solution
+    and can be reused as ``f_start`` of the next step (FSAL); when
+    ``f_start`` is omitted it is computed here, adding one evaluation.
     """
-    nev = 0
+    nev = 3
     if f_start is None:
         f_start = rhs(t, y)
-        nev += 1
+        nev = 4
     k1 = f_start
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.75 * h, y + (0.75 * h) * k2)
-    y3 = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
+    a = 0.5 * h
+    k2 = rhs(t + a, tuple([v + a * d for v, d in zip(y, k1)]))
+    a = 0.75 * h
+    k3 = rhs(t + a, tuple([v + a * d for v, d in zip(y, k2)]))
+    y3 = tuple([v + h * ((2.0 / 9.0) * d1 + (1.0 / 3.0) * d2
+                         + (4.0 / 9.0) * d3)
+                for v, d1, d2, d3 in zip(y, k1, k2, k3)])
     k4 = rhs(t + h, y3)
-    nev += 3
-    y2 = y + h * ((7.0 / 24.0) * k1 + 0.25 * k2 + (1.0 / 3.0) * k3 + 0.125 * k4)
+    y2 = tuple([v + h * ((7.0 / 24.0) * d1 + 0.25 * d2 + (1.0 / 3.0) * d3
+                         + 0.125 * d4)
+                for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
     return y2, y3, nev, k4
 
 
 def _initial_step(y0, f0, t_span, opts):
-    # One-evaluation heuristic: balance the scaled norms of y0 and f(y0).
-    scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    # One-evaluation heuristic: balance the scaled RMS norms of y0 and
+    # f(y0).
+    d0 = d1 = 0.0
+    for y, f in zip(y0, f0):
+        scale = opts.abs_tol + opts.rel_tol * abs(y)
+        q0 = y / scale
+        q1 = f / scale
+        d0 += q0 * q0
+        d1 += q1 * q1
+    d0 = math.sqrt(d0 / len(y0))
+    d1 = math.sqrt(d1 / len(y0))
     if d0 < 1e-10 or d1 < 1e-10:
         h = 1e-3 * t_span
     else:
@@ -105,39 +125,70 @@ def _initial_step(y0, f0, t_span, opts):
     return min(h, t_span)
 
 
-def integrate(rhs, t0, t_end, y0, opts=IvpOptions()):
-    """Integrate y' = rhs(t, y) from t0 to t_end; returns (y(t_end), stats).
+def _sample_points(t_eval, t0, t_end):
+    points = [float(s) for s in t_eval]
+    if (not points or not points[0] > t0 or points[-1] != t_end
+            or any(not b > a for a, b in zip(points, points[1:]))):
+        raise ValueError("t_eval must increase strictly over (t0, t_end] "
+                         "and end at t_end")
+    return points
+
+
+def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
+    """Integrate y' = rhs(t, y) from t0 to t_end; returns (y, stats).
+
+    The state is carried as a tuple of floats; ``y0`` may be any sequence
+    of numbers.  Without ``t_eval``, ``y`` is the (n,) array y(t_end).
+    With ``t_eval`` (strictly increasing points in (t0, t_end] that end at
+    t_end), ``y`` is the (len(t_eval), n) array of the solution at those
+    points: a step that would pass the next point is shortened to land on
+    it exactly, and the step size and FSAL slope carry on across points.
 
     Local error per step is held below abs_tol + rel_tol*|y| in the RMS
     norm; the third-order solution is propagated.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
+    samples = [t_end] if t_eval is None else _sample_points(t_eval, t0,
+                                                            t_end)
+    rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
     t = t0
-    y = np.array(y0, dtype=float)
-    stats = IvpStats()
+    y = tuple(map(float, y0))
+    n = len(y)
     f = rhs(t, y)
-    stats.rhs_evaluations += 1
+    nev = 1
+    accepted = rejected = 0
     h = opts.initial_step or _initial_step(y, f, t_end - t0, opts)
-    while t < t_end:
-        if stats.accepted_steps + stats.rejected_steps >= opts.max_steps:
-            raise StepCountExceeded(t, opts.max_steps)
-        h = min(h, t_end - t)
-        y2, y3, nev, k4 = step_bs23(rhs, t, y, h, f_start=f)
-        stats.rhs_evaluations += nev
-        err = y3 - y2
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y3))
-        enorm = np.sqrt(np.mean((err / scale) ** 2))
-        if enorm <= 1.0:
-            t += h
-            y = y3
-            f = k4
-            stats.accepted_steps += 1
-            mag = np.max(np.abs(y))
-            if mag > OVERFLOW_LIMIT:
-                raise Overflow(t, mag)
-        else:
-            stats.rejected_steps += 1
-        factor = _SAFETY * enorm ** (-1.0 / 3.0) if enorm > 0 else _FAC_MAX
-        h *= min(_FAC_MAX, max(_FAC_MIN, factor))
-    return y, stats
+    out = []
+    for t_next in samples:
+        while t < t_next:
+            if accepted + rejected >= max_steps:
+                raise StepCountExceeded(t, max_steps)
+            landing = h >= t_next - t
+            if landing:
+                h = t_next - t
+            y2, y3, k, f3 = step_bs23(rhs, t, y, h, f)
+            nev += k
+            acc = mag = 0.0
+            for v, lo, hi in zip(y, y2, y3):
+                a = abs(v)
+                b = abs(hi)
+                if b > mag:
+                    mag = b
+                q = (hi - lo) / (abs_tol + rel_tol * (a if a >= b else b))
+                acc += q * q
+            enorm = math.sqrt(acc / n)
+            if enorm <= 1.0:
+                t = t_next if landing else t + h
+                y = y3
+                f = f3
+                accepted += 1
+                if mag > OVERFLOW_LIMIT:
+                    raise Overflow(t, mag)
+            else:
+                rejected += 1
+            factor = _SAFETY * enorm ** (-1.0 / 3.0) if enorm > 0 else _FAC_MAX
+            h *= min(_FAC_MAX, max(_FAC_MIN, factor))
+        out.append(y)
+    stats = IvpStats(accepted, rejected, nev)
+    return np.array(out[-1] if t_eval is None else out), stats

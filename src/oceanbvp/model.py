@@ -1,9 +1,9 @@
 """Ocean circulation boundary-layer model.
 
 Third-order ODE  u''' = b*(u'^2 - u*u'') + u - 1  on [0, inf) with u -> 1
-at infinity, written as a first-order system u = (u1, u2, u3).  States are
-plain numpy arrays of shape (3,), or (6,) when the sensitivity block with
-respect to the missing initial condition beta is appended.
+at infinity, written as a first-order system u = (u1, u2, u3).  The one
+nonlinear term is ``forcing``; the batched RHS of the relaxation schemes,
+the float RHS of shooting and the variational RHS are all built on it.
 """
 
 import math
@@ -45,10 +45,24 @@ class ModelParams:
         return cls(b=math.pi * (gamma / kappa**2) ** (1.0 / 3.0))
 
 
+def forcing(u1, u2, u3, b):
+    """The third component of the RHS, b*(u2^2 - u1*u3) + u1 - 1, for
+    floats or arrays."""
+    return b * (u2 * u2 - u1 * u3) + u1 - 1.0
+
+
 def rhs(xi, u, p):
-    """Right-hand side f(xi, u) of the first-order system (autonomous)."""
-    u1, u2, u3 = u
-    return np.array([u2, u3, p.b * (u2 * u2 - u1 * u3) + u1 - 1.0])
+    """Right-hand side f(xi, u) of the first-order system (autonomous).
+
+    ``u`` may be one state (3,) or a batch (..., 3); the result has the
+    same shape.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
+    out[..., 0] = u[..., 1]
+    out[..., 1] = u[..., 2]
+    out[..., 2] = forcing(u[..., 0], u[..., 1], u[..., 2], p.b)
+    return out
 
 
 def rhs_jacobian(xi, u, p):
@@ -72,17 +86,13 @@ def rhs_variational(xi, U, p):
 
     The last three components are the variational equations obtained by
     differentiating the system with respect to beta; they equal
-    rhs_jacobian(u) @ (s4, s5, s6).
+    rhs_jacobian(u) @ (s4, s5, s6).  Returns a tuple of floats, the state
+    type of the integrator.
     """
     u1, u2, u3, s4, s5, s6 = U
-    out = np.empty(6)
-    out[0] = u2
-    out[1] = u3
-    out[2] = p.b * (u2 * u2 - u1 * u3) + u1 - 1.0
-    out[3] = s5
-    out[4] = s6
-    out[5] = p.b * (2.0 * u2 * s5 - u3 * s4 - u1 * s6) + s4
-    return out
+    b = p.b
+    return (u2, u3, forcing(u1, u2, u3, b), s5, s6,
+            b * (2.0 * u2 * s5 - u3 * s4 - u1 * s6) + s4)
 
 
 def bc_initial(kind, beta):

@@ -116,9 +116,7 @@ def build_system(params, kind, grid, freeze_last_weights=True):
 
     def residual(U):
         avg = bw[:, None] * U[1:] + cw[:, None] * U[:-1]
-        u1, u2, u3 = avg.T
-        f = np.column_stack([u2, u3, p.b * (u2 * u2 - u1 * u3) + u1 - 1.0])
-        interior = U[1:] - U[:-1] - a[:, None] * f
+        interior = U[1:] - U[:-1] - a[:, None] * model.rhs(0.0, avg, p)
         boundary = np.array([
             U[0, 0],
             U[0, 1] if kind is BcKind.NO_SLIP else U[0, 2],
@@ -152,15 +150,24 @@ def default_initial_guess(J):
     return U
 
 
-def solve_qug(c, J, params, kind, tol=1e-6, max_iter=100):
+def solve_qug(c, J, params, kind, tol=1e-6, max_iter=100, initial=None):
     """Newton solve of the quasi-uniform scheme; beta is read at node 0 and
-    the infinity-node state is reported separately from the finite nodes."""
+    the infinity-node state is reported separately from the finite nodes.
+
+    ``initial`` is a full (J+1, 3) iterate with the infinity node last (see
+    ``iterate_of``); by default the constant guess is used.
+    """
     grid = QuasiUniformGrid(c=c, J=J)
     sys = build_system(params, kind, grid)
-    U, report = blocksolve.newton_solve(sys, default_initial_guess(J), tol,
-                                        max_iter=max_iter)
+    U0 = default_initial_guess(J) if initial is None else initial
+    U, report = blocksolve.newton_solve(sys, U0, tol, max_iter=max_iter)
     beta = U[0, 2] if kind is BcKind.NO_SLIP else U[0, 1]
     sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1].copy(), beta=beta,
                        kind=kind, params=params,
                        infinity_state=U[J].copy())
     return sol, report
+
+
+def iterate_of(sol):
+    """The full (J+1, 3) iterate behind a solution, to warm-start a solve."""
+    return np.vstack([sol.u, sol.infinity_state])

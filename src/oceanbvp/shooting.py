@@ -7,7 +7,7 @@ secant method on the three-equation system or by Newton's method on the
 six-equation variational system, where F'(beta) = u4(xi_infinity; beta).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,15 @@ class ShootingResult:
 
 
 def _rhs3(prob):
-    p = prob.params
-    return lambda t, y: model.rhs(t, y, p)
+    # Float RHS of the three-equation system, the integrator's state type.
+    b = prob.params.b
+    forcing = model.forcing
+
+    def rhs(t, y):
+        u1, u2, u3 = y
+        return (u2, u3, forcing(u1, u2, u3, b))
+
+    return rhs
 
 
 def _rhs6(prob):
@@ -105,17 +112,14 @@ _DENSE_OPTS = ivp.IvpOptions(rel_tol=1e-9, abs_tol=1e-11)
 
 
 def _dense_trajectory(beta, prob):
-    """Re-integrate once at the converged beta, sampled at uniform points."""
+    """Re-integrate once at the converged beta, sampled at uniform points
+    that the steps land on."""
     xi = np.linspace(0.0, prob.xi_infinity, DENSE_SAMPLES)
-    u = np.empty((DENSE_SAMPLES, 3))
-    y = model.bc_initial(prob.kind, beta)
-    u[0] = y
-    rhs = _rhs3(prob)
-    for i in range(1, DENSE_SAMPLES):
-        y, _ = ivp.integrate(rhs, xi[i - 1], xi[i], y, _DENSE_OPTS)
-        u[i] = y
-    return MeshSolution(xi=xi, u=u, beta=beta, kind=prob.kind,
-                        params=prob.params)
+    y0 = model.bc_initial(prob.kind, beta)
+    u, _ = ivp.integrate(_rhs3(prob), 0.0, prob.xi_infinity, y0,
+                         _DENSE_OPTS, t_eval=xi[1:])
+    return MeshSolution(xi=xi, u=np.vstack([y0, u]), beta=beta,
+                        kind=prob.kind, params=prob.params)
 
 
 def solve_secant(beta0, beta1, prob):

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from oceanbvp import cli
+from oceanbvp import cli, quasi_uniform
 from oceanbvp.cli import main
+from oceanbvp.model import BcKind, approx_missing_init
 
 
 def run(capsys, *argv):
@@ -118,6 +119,35 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--method", "qug",
                          "--b-values", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_b_is_config_error(self, bad):
+        with pytest.raises(cli.ConfigError):
+            cli.sweep_b([0.0, bad], "qug", BcKind.SLIP, J=50, c=5.0)
+
+    def test_warm_started_qug_converges_to_large_b(self):
+        b_values = [0, 2, 8, 16, 50]
+        rows = cli.sweep_b(b_values, "qug", BcKind.SLIP, J=200, c=5)
+        assert [r["status"] for r in rows] == ["ok"] * len(b_values)
+        betas = [r["beta_numeric"] for r in rows]
+        for b, beta in zip(b_values, betas):
+            approx = approx_missing_init(BcKind.SLIP, b)
+            assert abs(beta - approx) <= 0.05 * approx
+        assert all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))
+
+    def test_failed_row_names_its_error_class(self):
+        # cold-start QUG at b = 16 does not converge in 100 iterations
+        rows = cli.sweep_b([16.0], "qug", BcKind.NO_SLIP, J=200, c=5)
+        assert rows[0]["status"] == "failed"
+        assert rows[0]["error"].startswith("NewtonMaxIterations: ")
+
+    def test_non_solver_exception_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a solver failure")
+
+        monkeypatch.setattr(quasi_uniform, "solve_qug", broken)
+        with pytest.raises(RuntimeError):
+            cli.sweep_b([1.0], "qug", BcKind.SLIP, J=50, c=5.0)
 
 
 class TestProfile:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oceanbvp import ivp, model
+from oceanbvp import ivp, model, shooting
 from oceanbvp.ivp import IvpOptions, Overflow, StepCountExceeded
 from oceanbvp.model import BcKind, ModelParams
 
 
 def decay(t, y):
-    return -y
+    return [-v for v in y]
 
 
 class TestStepBs23:
@@ -112,3 +112,100 @@ class TestIntegrate:
         y, stats = ivp.integrate(decay, 0.0, 1.0, np.array([1.0]),
                                  IvpOptions(initial_step=0.5))
         assert abs(y[0] - math.exp(-1.0)) < 1e-2
+
+
+class TestFloatState:
+    def test_no_slip_divergent_integration_counts(self):
+        # The heaviest single root-finding integration of the secant run
+        # from the no-slip seed beta = 2; its step sequence is pinned.
+        rhs = shooting._rhs3(shooting.ShootingProblem())
+        y0 = model.bc_initial(BcKind.NO_SLIP, 2.0)
+        y, stats = ivp.integrate(rhs, 0.0, 10.0, y0)
+        assert (stats.accepted_steps, stats.rejected_steps,
+                stats.rhs_evaluations) == (105_868, 17, 317_656)
+        assert y.shape == (3,)
+
+    def test_ndarray_state_and_rhs_match_tuples(self):
+        # ndarray states with an ndarray-returning rhs take the same steps
+        # to the same bits as tuples with a float rhs.
+        p = ModelParams(2.0)
+        y0 = model.bc_initial(BcKind.SLIP, 0.53)
+        ya, sa = ivp.integrate(lambda t, u: model.rhs(t, u, p),
+                               0.0, 10.0, y0)
+        yb, sb = ivp.integrate(shooting._rhs3(shooting.ShootingProblem(
+            params=p)), 0.0, 10.0, tuple(y0.tolist()))
+        np.testing.assert_array_equal(ya, yb)
+        assert sa == sb
+        steps = [ivp.step_bs23(lambda t, u: model.rhs(t, u, p), 0.0, y0,
+                               0.01),
+                 ivp.step_bs23(shooting._rhs3(shooting.ShootingProblem(
+                     params=p)), 0.0, tuple(y0.tolist()), 0.01)]
+        for a, b in zip(*steps):
+            np.testing.assert_array_equal(a, b)
+
+
+def _numpy_step(rhs, t, y, h, k1):
+    # Reference BS23 step on numpy arrays, same operations in the same order.
+    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = rhs(t + 0.75 * h, y + (0.75 * h) * k2)
+    y3 = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
+    k4 = rhs(t + h, y3)
+    y2 = y + h * ((7.0 / 24.0) * k1 + 0.25 * k2 + (1.0 / 3.0) * k3
+                  + 0.125 * k4)
+    return y2, y3, k4
+
+
+class TestAgainstNumpyReference:
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_step_is_bit_identical(self, n):
+        p = ModelParams(2.0)
+        fn = model.rhs_variational if n == 6 else model.rhs
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            y = rng.uniform(-2.0, 2.0, n)
+            h = rng.uniform(1e-4, 0.5)
+            k1 = np.array(fn(0.0, y, p))
+            ref = _numpy_step(lambda t, u: np.array(fn(t, u, p)), 0.0, y, h,
+                              k1)
+            got = ivp.step_bs23(lambda t, u: fn(t, u, p), 0.0,
+                                tuple(y.tolist()), h,
+                                tuple(k1.tolist()))
+            for r, g in zip(ref, (got[0], got[1], got[3])):
+                np.testing.assert_array_equal(np.asarray(g), r)
+
+
+class TestSamplePoints:
+    def test_lands_on_every_point(self):
+        t_eval = np.linspace(0.0, 1.0, 11)[1:]
+        seen = []
+
+        def rhs(t, y):
+            seen.append(t)
+            return [-v for v in y]
+
+        y, stats = ivp.integrate(rhs, 0.0, 1.0, [1.0], t_eval=t_eval)
+        assert y.shape == (10, 1)
+        # every sample is a step end, so the final slope is taken there
+        assert set(t_eval.tolist()) <= set(seen)
+        np.testing.assert_allclose(y[:, 0], np.exp(-t_eval), rtol=1e-2)
+        assert stats.rhs_evaluations == \
+            3 * (stats.accepted_steps + stats.rejected_steps) + 1
+
+    def test_last_sample_equals_plain_run_to_same_point(self):
+        y, _ = ivp.integrate(decay, 0.0, 1.0, [1.0], t_eval=[1.0])
+        y_end, _ = ivp.integrate(decay, 0.0, 1.0, [1.0])
+        np.testing.assert_array_equal(y[-1], y_end)
+
+    @pytest.mark.parametrize("t_eval", [
+        [],                     # empty
+        [0.5],                  # does not end at t_end
+        [0.0, 1.0],             # t0 is not in (t0, t_end]
+        [-0.5, 1.0],            # before t0
+        [0.5, 0.5, 1.0],        # not strictly increasing
+        [0.7, 0.3, 1.0],        # decreasing
+        [0.5, 1.5],             # beyond t_end
+        [float("nan"), 1.0],    # not a number
+    ])
+    def test_rejects_bad_points(self, t_eval):
+        with pytest.raises(ValueError):
+            ivp.integrate(decay, 0.0, 1.0, [1.0], t_eval=t_eval)

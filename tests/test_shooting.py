@@ -64,6 +64,20 @@ class TestSecant:
         assert traj.u[:, 0].max() > 0.95
         assert traj.u[-1, 0] == pytest.approx(1.0, abs=0.1)
 
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_one_pass_trajectory_matches_restarted_runs(self, newton_b2,
+                                                         kind):
+        # Reference: one integration per sample interval, restarted from
+        # the previous sample, as the profile was first computed.
+        traj = newton_b2[kind].trajectory
+        prob = ShootingProblem(params=B2, kind=kind)
+        rhs = shooting._rhs3(prob)
+        ref = [model.bc_initial(kind, traj.beta)]
+        for t0, t1 in zip(traj.xi, traj.xi[1:]):
+            y, _ = ivp.integrate(rhs, t0, t1, ref[-1], shooting._DENSE_OPTS)
+            ref.append(y)
+        np.testing.assert_allclose(traj.u, ref, rtol=0, atol=1e-8)
+
     def test_tight_tolerance_trajectory_reaches_far_field(self):
         # at b = 2 the accurate profile rises monotonically to the
         # far-field value without overshooting it
