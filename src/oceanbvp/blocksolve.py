@@ -1,17 +1,19 @@
-"""Newton iteration for two-point-coupled nonlinear block systems.
+"""Midpoint scheme and Newton iteration for two-point block systems.
 
-Both relaxation discretizations lead to residuals of the same shape: one
-m-vector of unknowns per node j = 0..J, interior equation j coupling only
-the nodes j-1 and j, plus m boundary rows coupling node 0 and node J.  The
-Newton linear systems are solved in O(J m^3) by structured cyclic
-reduction with orthogonal factorizations (S. J. Wright, SIAM J. Sci.
-Stat. Comput. 13, 1992): each of the ceil(log2 J) levels eliminates every
-other node from pairs of neighbouring equations with Householder QR,
-batched across the pairs, until one equation between node 0 and node J is
-left.  That equation and the boundary rows form one dense 2m x 2m system,
-so the boundary rows may mix both ends (cyclic border).  Orthogonal
-eliminations keep the solve stable although the linearization has a
-growing mode, which rules out condensing or transfer-matrix products.
+Both relaxation methods are the midpoint (box) scheme for V' = g(V), built
+by ``midpoint_system`` from interval widths, interpolation weights and
+boundary rows: one m-vector of unknowns per node j = 0..J, interior
+equation j coupling only the nodes j-1 and j, plus m boundary rows
+coupling node 0 and node J.  The Newton linear systems are solved in
+O(J m^3) by structured cyclic reduction with orthogonal factorizations
+(S. J. Wright, SIAM J. Sci. Stat. Comput. 13, 1992): each of the
+ceil(log2 J) levels eliminates every other node from pairs of neighbouring
+equations with Householder QR, batched across the pairs, until one
+equation between node 0 and node J is left.  That equation and the
+boundary rows form one dense 2m x 2m system, so the boundary rows may mix
+both ends (cyclic border).  Orthogonal eliminations keep the solve stable
+although the linearization has a growing mode, which rules out condensing
+or transfer-matrix products.
 """
 
 from dataclasses import dataclass
@@ -21,20 +23,24 @@ import numpy as np
 PIVOT_TOL = 1e-13
 
 
-class SingularJacobian(Exception):
+class NewtonError(Exception):
+    """A relaxation solve failed: the base of every Newton failure."""
+
+
+class SingularJacobian(NewtonError):
     def __init__(self, where, pivot):
         super().__init__(f"pivot {pivot:.3g} below {PIVOT_TOL:g} "
                          f"while eliminating node {where}")
 
 
-class NewtonMaxIterations(Exception):
+class NewtonMaxIterations(NewtonError):
     def __init__(self, limit, update_norm):
         super().__init__(f"no convergence in {limit} Newton iterations "
                          f"(last mean update {update_norm:.3g})")
         self.update_norm = update_norm
 
 
-class NonFiniteIterate(Exception):
+class NonFiniteIterate(NewtonError):
     """A Newton iteration produced a non-finite residual or update."""
 
     def __init__(self, iteration, what):
@@ -57,6 +63,36 @@ class BlockSystem:
     m: int
     residual: callable
     jacobian: callable
+
+
+def midpoint_system(widths, weights, g, dg, A, C, target):
+    """BlockSystem of the midpoint scheme for V' = g(V) on J intervals.
+
+    Interval j has width widths[j] and weight w_j = weights[j] on its right
+    node; its equation is V_{j+1} - V_j - a_j g(w_j V_{j+1} + (1 - w_j) V_j)
+    with blocks -I - a_j (1 - w_j) dg and I - a_j w_j dg.  The boundary
+    rows are A V_0 + C V_J - target.  g maps states (J, m) to slopes
+    (J, m) and dg to their Jacobians (J, m, m).
+    """
+    a = np.asarray(widths, dtype=float)[:, None]
+    w = np.asarray(weights, dtype=float)[:, None]
+    left = (a * (1.0 - w))[..., None]
+    right = (a * w)[..., None]
+    eye = np.eye(len(target))
+
+    def interpolate(V):
+        return w * V[1:] + (1.0 - w) * V[:-1]
+
+    def residual(V):
+        interior = V[1:] - V[:-1] - a * g(interpolate(V))
+        return interior, A @ V[0] + C @ V[-1] - target
+
+    def jacobian(V):
+        G = dg(interpolate(V))
+        return -eye - left * G, eye - right * G, A, C
+
+    return BlockSystem(J=len(a), m=len(target), residual=residual,
+                       jacobian=jacobian)
 
 
 @dataclass

@@ -21,9 +21,8 @@ import sys
 import numpy as np
 
 from . import benchmarks, free_boundary, quasi_uniform, shooting
-from .blocksolve import NewtonMaxIterations, NonFiniteIterate, \
-    SingularJacobian
-from .free_boundary import FbfProblem, NegativeFreeBoundary
+from .blocksolve import NewtonError
+from .free_boundary import FbfProblem
 from .ivp import IntegrationError
 from .model import BcKind, ModelParams, approx_missing_init
 from .shooting import ShootingError, ShootingProblem
@@ -36,10 +35,6 @@ SWEEP_HEADER = ["b", "beta_numeric", "beta_approx", "relative_gap", "status",
 
 class ConfigError(Exception):
     pass
-
-
-def _bc(name):
-    return BcKind.NO_SLIP if name == "no-slip" else BcKind.SLIP
 
 
 def _require(args, *names):
@@ -74,9 +69,10 @@ def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
             },
         }
         return report, res.trajectory
-    if method == "fbf":
+    if method in ("fbf", "fbf-continuation"):
         prob = FbfProblem(params=params, kind=kind, eps=eps_list[0],
                           J=J or 2000, tol=tol)
+    if method == "fbf":
         sol, rep = free_boundary.solve_fbf(prob, initial=initial)
         report = {
             "method": method, "bc": kind.value, "b": b,
@@ -87,8 +83,6 @@ def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
         }
         return report, sol
     if method == "fbf-continuation":
-        prob = FbfProblem(params=params, kind=kind, eps=eps_list[0],
-                          J=J or 2000, tol=tol)
         results, err = free_boundary.continuation_solve(prob, eps_list)
         if err is not None:
             raise err
@@ -123,18 +117,13 @@ def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
 
 def _comparison_cell(row):
     """Run one reference configuration; returns the computed values."""
-    if row.method in ("shoot-secant", "shoot-newton"):
-        beta0, beta1 = benchmarks.SHOOTING_SEEDS[(row.method, row.kind)]
-        report, _ = _run_solver(row.method, row.kind, 2.0,
-                                beta0=beta0, beta1=beta1)
-        evals = report["ivp_stats"]["rhs_evaluations"]
-        return report["beta"], report["iterations"], evals
-    if row.method == "fbf":
-        report, _ = _run_solver("fbf", row.kind, 2.0, eps_list=[1e-5],
-                                J=row.grid_points)
-        return report["beta"], report["iterations"], None
-    report, _ = _run_solver("qug", row.kind, 2.0, J=row.grid_points, c=5.0)
-    return report["beta"], report["iterations"], None
+    beta0, beta1 = benchmarks.SHOOTING_SEEDS.get((row.method, row.kind),
+                                                 (None, None))
+    report, _ = _run_solver(row.method, row.kind, 2.0, beta0=beta0,
+                            beta1=beta1, eps_list=[1e-5], J=row.grid_points,
+                            c=5.0)
+    evals = report.get("ivp_stats", {}).get("rhs_evaluations")
+    return report["beta"], report["iterations"], evals
 
 
 def reproduce_tables(skip=()):
@@ -204,8 +193,7 @@ def _emit_tables(result, fmt, stream):
 
 # Failures of a single solve; a sweep records them in the row and goes on.
 # Anything else (a bad argument, a bug) propagates.
-SOLVER_ERRORS = (ShootingError, IntegrationError, SingularJacobian,
-                 NewtonMaxIterations, NonFiniteIterate, NegativeFreeBoundary)
+SOLVER_ERRORS = (ShootingError, IntegrationError, NewtonError)
 
 _ITERATE_OF = {"fbf": free_boundary.iterate_of,
                "qug": quasi_uniform.iterate_of}
@@ -347,8 +335,6 @@ def _validated_knobs(args):
     eps = args.eps
     if args.method in ("fbf", "fbf-continuation") and eps is None:
         eps = [1e-5]
-    if args.method == "fbf-continuation" and len(eps or []) < 1:
-        raise ConfigError("--eps is required for fbf-continuation")
     return dict(beta0=args.beta0, beta1=args.beta1, xi_inf=args.xi_inf,
                 eps_list=eps, J=args.J, c=args.c, tol=args.tol)
 
@@ -360,7 +346,7 @@ def main(argv=None):
         buffer = io.StringIO()
         if args.command == "solve":
             knobs = _validated_knobs(args)
-            report, _ = _run_solver(args.method, _bc(args.bc), args.b,
+            report, _ = _run_solver(args.method, BcKind(args.bc), args.b,
                                     **knobs)
             _emit_report(report, args.format, buffer)
         elif args.command == "tables":
@@ -369,7 +355,7 @@ def main(argv=None):
             _emit_tables(result, args.format, buffer)
         elif args.command == "sweep":
             b_values = [float(s) for s in args.b_values.split(",") if s]
-            rows = sweep_b(b_values, args.method, _bc(args.bc),
+            rows = sweep_b(b_values, args.method, BcKind(args.bc),
                            J=args.J, c=args.c)
             writer = csv.writer(buffer)
             writer.writerow(SWEEP_HEADER)
@@ -377,13 +363,13 @@ def main(argv=None):
                 writer.writerow([r[k] for k in SWEEP_HEADER])
         elif args.command == "profile":
             knobs = _validated_knobs(args)
-            _, solution = _run_solver(args.method, _bc(args.bc), args.b,
+            _, solution = _run_solver(args.method, BcKind(args.bc), args.b,
                                       **knobs)
             emit_profiles(solution, buffer)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except Exception as err:
+    except SOLVER_ERRORS + (ValueError,) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 1
     text = buffer.getvalue()

@@ -17,7 +17,7 @@ from . import blocksolve, model
 from .model import BcKind, MeshSolution, ModelParams
 
 
-class NegativeFreeBoundary(Exception):
+class NegativeFreeBoundary(blocksolve.NewtonError):
     """An iterate drove u4 = xi_eps to a non-positive value; the z -> xi
     map is meaningless there, so the solve is aborted."""
 
@@ -51,65 +51,33 @@ def default_initial_guess(J):
     return np.column_stack([z, 0.5 * z, 1.0 - z, np.full(J + 1, 2.0)])
 
 
-def _boundary_blocks(prob):
-    m = 4
-    A = np.zeros((m, m))
-    C = np.zeros((m, m))
-    A[0, 0] = 1.0
-    if prob.kind is BcKind.NO_SLIP:
-        A[1, 1] = 1.0
-    else:
-        A[1, 2] = 1.0
-    C[2, 0] = 1.0
-    C[3, 1] = 1.0
-    return A, C
-
-
 def build_system(prob):
-    """BlockSystem for the box-scheme equations on the unit z-interval."""
+    """BlockSystem for the box-scheme equations on the unit z-interval:
+    the midpoint scheme for V' = (u4 f(u), 0) with weights 1/2."""
     p = prob.params
-    J = prob.J
-    dz = 1.0 / J
-    A, C = _boundary_blocks(prob)
 
-    def residual(V):
-        avg = 0.5 * (V[1:] + V[:-1])
-        F = np.zeros((J, 4))
-        F[:, :3] = avg[:, 3, None] * model.rhs(0.0, avg[:, :3], p)
-        interior = V[1:] - V[:-1] - dz * F
-        boundary = np.array([
-            V[0, 0],
-            V[0, 1] if prob.kind is BcKind.NO_SLIP else V[0, 2],
-            V[J, 0] - 1.0,
-            V[J, 1] - prob.eps,
-        ])
-        return interior, boundary
+    def g(V):
+        out = np.zeros(V.shape)
+        out[:, :3] = V[:, 3, None] * model.rhs(0.0, V[:, :3], p)
+        return out
 
-    def jacobian(V):
-        # Box-scheme blocks -I - dz/2 G and I - dz/2 G, G the Jacobian of
-        # (u4 f(u), 0) at the interval midpoints.
-        avg = 0.5 * (V[1:] + V[:-1])
-        half = np.zeros((J, 4, 4))
-        half[:, :3, :3] = 0.5 * dz * (
-            avg[:, 3, None, None] * model.rhs_jacobian(0.0, avg[:, :3], p))
-        half[:, :3, 3] = 0.5 * dz * model.rhs(0.0, avg[:, :3], p)
-        eye = np.eye(4)
-        return -eye - half, eye - half, A, C
+    def dg(V):
+        u, u4 = V[:, :3], V[:, 3, None, None]
+        G = np.zeros(V.shape + (4,))
+        G[:, :3, :3] = u4 * model.rhs_jacobian(0.0, u, p)
+        G[:, :3, 3] = model.rhs(0.0, u, p)
+        return G
 
-    return blocksolve.BlockSystem(J=J, m=4, residual=residual,
-                                  jacobian=jacobian)
-
-
-def fbf_residual(V, prob):
-    """Flat residual: J*4 interior box rows, then the 4 boundary rows."""
-    return blocksolve.full_residual(build_system(prob), V)
+    return blocksolve.midpoint_system(
+        np.full(prob.J, 1.0 / prob.J), np.full(prob.J, 0.5), g, dg,
+        *model.boundary_rows(prob.kind, (1.0, prob.eps)))
 
 
 def _to_solution(V, prob):
     xi_eps = V[0, 3]
     z = np.linspace(0.0, 1.0, prob.J + 1)
-    beta = V[0, 2] if prob.kind is BcKind.NO_SLIP else V[0, 1]
-    return MeshSolution(xi=z * xi_eps, u=V[:, :3].copy(), beta=beta,
+    return MeshSolution(xi=z * xi_eps, u=V[:, :3].copy(),
+                        beta=V[0, model.missing_slot(prob.kind)],
                         kind=prob.kind, params=prob.params,
                         free_boundary=xi_eps)
 
@@ -155,7 +123,7 @@ def continuation_solve(prob, eps_sequence):
                           J=prob.J, tol=prob.tol, max_iter=prob.max_iter)
         try:
             sol, report = solve_fbf(step, initial=state)
-        except Exception as err:  # report completed prefix with the failure
+        except blocksolve.NewtonError as err:  # report the completed prefix
             return results, err
         results.append((sol, report))
         state = iterate_of(sol)

@@ -95,19 +95,37 @@ def rhs_variational(xi, U, p):
             b * (2.0 * u2 * s5 - u3 * s4 - u1 * s6) + s4)
 
 
+def missing_slot(kind):
+    """Index of beta in the state (u, u', u''): 2 (u''(0)) for no-slip, 1
+    (u'(0)) for slip.  The other of slots 1 and 2 is zero at the coast."""
+    return 2 if kind is BcKind.NO_SLIP else 1
+
+
+def boundary_rows(kind, far):
+    """Boundary rows A V_0 + C V_J = target of a relaxation scheme: u(0) = 0
+    and the fixed coast slot at node 0, then component k of node J equal to
+    far[k] for each k.  There is one row per unknown, so a node holds
+    m = 2 + len(far) unknowns."""
+    m = 2 + len(far)
+    A = np.zeros((m, m))
+    C = np.zeros((m, m))
+    A[0, 0] = 1.0
+    A[1, 3 - missing_slot(kind)] = 1.0
+    C[2:, :len(far)] = np.eye(len(far))
+    return A, C, np.array([0.0, 0.0, *far])
+
+
 def bc_initial(kind, beta):
     """Initial state of the shooting IVP with beta in the missing slot."""
-    if kind is BcKind.NO_SLIP:
-        return np.array([0.0, 0.0, beta])
-    return np.array([0.0, beta, 0.0])
+    y = np.zeros(3)
+    y[missing_slot(kind)] = beta
+    return y
 
 
 def sensitivity_initial(kind):
     """Initial condition of the sensitivity block: the beta-derivative of
     bc_initial, i.e. a unit vector in the slot holding beta."""
-    if kind is BcKind.NO_SLIP:
-        return np.array([0.0, 0.0, 1.0])
-    return np.array([0.0, 1.0, 0.0])
+    return bc_initial(kind, 1.0)
 
 
 def approx_missing_init(kind, b, principal=True):
@@ -137,7 +155,7 @@ def _munk_coefficients(kind):
     # r the decaying cube root of unity; solve the 2x2 system at xi = 0
     # for C = A - iB rather than hard-coding A, B.
     r = np.exp(2j * math.pi / 3.0)
-    order = 1 if kind is BcKind.NO_SLIP else 2
+    order = 3 - missing_slot(kind)  # the derivative fixed to 0 at xi = 0
     # Re(C r^k) = A*Re(r^k) + B*Im(r^k)
     M = np.array([
         [1.0, 0.0],

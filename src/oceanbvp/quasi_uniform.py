@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksolve, model
-from .model import BcKind, MeshSolution, ModelParams
+from .model import MeshSolution
 
 
 @dataclass(frozen=True)
@@ -42,104 +42,45 @@ class QuasiUniformGrid:
         return self.fractional_node(float(j))
 
     def fractional_node(self, position):
-        """xi at grid position j + alpha (real, < J); finite by construction."""
-        assert position < self.J, "fractional nodes must stay below eta = 1"
-        return -self.c * math.log1p(-position / self.J)
+        """xi at grid positions j + alpha (reals or an array, < J); finite
+        by construction."""
+        position = np.asarray(position, dtype=float)
+        assert (position < self.J).all(), \
+            "fractional nodes must stay below eta = 1"
+        return -self.c * np.log1p(-position / self.J)
 
     def finite_nodes(self):
         """Nodes 0..J-1 as an array (the infinity node is excluded)."""
-        j = np.arange(self.J)
-        return -self.c * np.log1p(-j / self.J)
+        return self.fractional_node(np.arange(self.J))
 
     def interval_width(self, j):
-        """Scheme width a = 2*(xi_{j+3/4} - xi_{j+1/4}) of interval j."""
-        return 2.0 * (self.fractional_node(j + 0.75)
-                      - self.fractional_node(j + 0.25))
+        """Scheme widths a = 2*(xi_{j+3/4} - xi_{j+1/4}) of intervals j."""
+        return 2.0 * (self.fractional_node(np.add(j, 0.75))
+                      - self.fractional_node(np.add(j, 0.25)))
 
     def interval_weights(self, j):
-        """Interpolation weights (on u_{j+1}, on u_j) of interval j.
+        """Interpolation weights (on u_{j+1}, on u_j) of intervals j.
 
         For the last interval the literal weights would jump to (0, 1);
         the penultimate interval's pair is reused instead.
         """
-        if j == self.J - 1:
-            j = self.J - 2
-        xi_l = self.fractional_node(float(j))
+        j = np.minimum(j, self.J - 2)
+        xi_l = self.fractional_node(j)
         xi_m = self.fractional_node(j + 0.5)
-        xi_r = self.fractional_node(float(j + 1))
+        xi_r = self.fractional_node(j + 1)
         b = (xi_m - xi_l) / (xi_r - xi_l)
         return b, 1.0 - b
 
 
-def midpoint_value(u_j, u_j1, grid, j):
-    """Midpoint interpolation b*u_{j+1} + c*u_j on interval j; the weights
-    are a convex pair summing to one."""
-    b, c = grid.interval_weights(j)
-    return c * np.asarray(u_j) + b * np.asarray(u_j1)
-
-
-def midpoint_derivative(u_j, u_j1, grid, j):
-    """First derivative at the interval midpoint from the two node values;
-    finite on every interval because only quarter nodes enter."""
-    return (np.asarray(u_j1) - np.asarray(u_j)) / grid.interval_width(j)
-
-
-def _boundary_blocks(kind):
-    A = np.zeros((3, 3))
-    C = np.zeros((3, 3))
-    A[0, 0] = 1.0
-    if kind is BcKind.NO_SLIP:
-        A[1, 1] = 1.0
-    else:
-        A[1, 2] = 1.0
-    C[2, 0] = 1.0
-    return A, C
-
-
-def build_system(params, kind, grid, freeze_last_weights=True):
-    """BlockSystem for the midpoint scheme on the quasi-uniform grid.
-
-    ``freeze_last_weights=False`` keeps the literal (0, 1) weights on the
-    infinite interval; exposed only so the effect of the freeze can be
-    measured.
-    """
-    J = grid.J
-    a = np.array([grid.interval_width(j) for j in range(J)])
-    bw = np.empty(J)
-    cw = np.empty(J)
-    for j in range(J):
-        bw[j], cw[j] = grid.interval_weights(j)
-    if not freeze_last_weights:
-        bw[J - 1], cw[J - 1] = 0.0, 1.0
-    A, C = _boundary_blocks(kind)
-    p = params
-
-    def residual(U):
-        avg = bw[:, None] * U[1:] + cw[:, None] * U[:-1]
-        interior = U[1:] - U[:-1] - a[:, None] * model.rhs(0.0, avg, p)
-        boundary = np.array([
-            U[0, 0],
-            U[0, 1] if kind is BcKind.NO_SLIP else U[0, 2],
-            U[J, 0] - 1.0,
-        ])
-        return interior, boundary
-
-    def jacobian(U):
-        avg = bw[:, None] * U[1:] + cw[:, None] * U[:-1]
-        Jf = model.rhs_jacobian(0.0, avg, p)
-        eye = np.eye(3)
-        return (-eye - (a * cw)[:, None, None] * Jf,
-                eye - (a * bw)[:, None, None] * Jf, A, C)
-
-    return blocksolve.BlockSystem(J=J, m=3, residual=residual,
-                                  jacobian=jacobian)
-
-
-def qug_residual(U, params, kind, grid, freeze_last_weights=True):
-    """Flat residual: J*3 interior rows then the 3 boundary rows."""
-    sys = build_system(params, kind, grid,
-                       freeze_last_weights=freeze_last_weights)
-    return blocksolve.full_residual(sys, U)
+def build_system(params, kind, grid):
+    """BlockSystem for the midpoint scheme on the quasi-uniform grid, with
+    the last interval's weights frozen (see ``interval_weights``)."""
+    j = np.arange(grid.J)
+    return blocksolve.midpoint_system(
+        grid.interval_width(j), grid.interval_weights(j)[0],
+        lambda U: model.rhs(0.0, U, params),
+        lambda U: model.rhs_jacobian(0.0, U, params),
+        *model.boundary_rows(kind, (1.0,)))
 
 
 def default_initial_guess(J):
@@ -161,8 +102,8 @@ def solve_qug(c, J, params, kind, tol=1e-6, max_iter=100, initial=None):
     sys = build_system(params, kind, grid)
     U0 = default_initial_guess(J) if initial is None else initial
     U, report = blocksolve.newton_solve(sys, U0, tol, max_iter=max_iter)
-    beta = U[0, 2] if kind is BcKind.NO_SLIP else U[0, 1]
-    sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1].copy(), beta=beta,
+    sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1].copy(),
+                       beta=U[0, model.missing_slot(kind)],
                        kind=kind, params=params,
                        infinity_state=U[J].copy())
     return sol, report

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from oceanbvp import blocksolve, free_boundary, model
-from oceanbvp.blocksolve import (BlockSystem, NewtonMaxIterations,
-                                 NonFiniteIterate, SingularJacobian,
-                                 check_jacobian, dense_jacobian_from_blocks,
+from oceanbvp.blocksolve import (BlockSystem, NewtonError,
+                                 NewtonMaxIterations, NonFiniteIterate,
+                                 SingularJacobian, check_jacobian,
+                                 dense_jacobian_from_blocks, midpoint_system,
                                  newton_solve, solve_bordered_block)
 from oceanbvp.free_boundary import FbfProblem
 from oceanbvp.model import BcKind, ModelParams
@@ -239,6 +240,35 @@ class TestNewtonSolve:
         with pytest.raises(RuntimeError, match="rejected iterate"):
             newton_solve(sys, np.zeros((5, 2)), tol=1e-8,
                          iterate_check=reject)
+
+
+    def test_failures_share_one_base(self):
+        for cls in (SingularJacobian, NewtonMaxIterations, NonFiniteIterate,
+                    free_boundary.NegativeFreeBoundary):
+            assert issubclass(cls, NewtonError)
+
+
+class TestMidpointSystem:
+    def test_rows_and_jacobian_on_a_nonuniform_grid(self):
+        rng = np.random.default_rng(15)
+        p = ModelParams(2.0)
+        J = 6
+        a = rng.uniform(0.1, 0.5, J)
+        w = rng.uniform(0.3, 0.7, J)
+        A, C, target = model.boundary_rows(BcKind.SLIP, (1.0,))
+        sys = midpoint_system(a, w, lambda U: model.rhs(0.0, U, p),
+                              lambda U: model.rhs_jacobian(0.0, U, p),
+                              A, C, target)
+        V = rng.uniform(0.2, 1.5, (J + 1, 3))
+        interior, boundary = sys.residual(V)
+        for j in range(J):
+            mid = w[j] * V[j + 1] + (1.0 - w[j]) * V[j]
+            np.testing.assert_allclose(
+                interior[j], V[j + 1] - V[j] - a[j] * model.rhs(0.0, mid, p),
+                atol=1e-14)
+        np.testing.assert_allclose(boundary, [V[0, 0], V[0, 2],
+                                              V[J, 0] - 1.0])
+        assert check_jacobian(sys, V) < 1e-5
 
 
 class TestCheckJacobian:

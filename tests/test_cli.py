@@ -80,6 +80,14 @@ class TestSolve:
         assert code == 1
         assert "solver failure" in err
 
+    def test_non_solver_exception_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a solver failure")
+
+        monkeypatch.setattr(quasi_uniform, "solve_qug", broken)
+        with pytest.raises(TypeError):
+            main(["solve", "--method", "qug"])
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--method", "qug", "--out",
                            str(tmp_path / "missing" / "x.json"))

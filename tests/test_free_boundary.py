@@ -4,8 +4,7 @@ import pytest
 from oceanbvp import blocksolve, free_boundary, model
 from oceanbvp.free_boundary import (FbfProblem, NegativeFreeBoundary,
                                     build_system, continuation_solve,
-                                    default_initial_guess, fbf_residual,
-                                    solve_fbf)
+                                    default_initial_guess, solve_fbf)
 from oceanbvp.model import BcKind, ModelParams
 
 B0 = ModelParams(0.0)
@@ -39,7 +38,7 @@ class TestResidual:
             prob = FbfProblem(params=B2, kind=kind, eps=1e-2)
             V = np.column_stack([sol.u,
                                  np.full(prob.J + 1, sol.free_boundary)])
-            res = fbf_residual(V, prob)
+            res = blocksolve.full_residual(build_system(prob), V)
             assert np.mean(np.abs(res)) < 1e-8
 
     def test_constant_state_hand_evaluated(self):
@@ -49,7 +48,7 @@ class TestResidual:
         eps, L, J = 1e-2, 3.0, 5
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=eps, J=J)
         V = np.tile([1.0, eps, 0.0, L], (J + 1, 1))
-        res = fbf_residual(V, prob)
+        res = blocksolve.full_residual(build_system(prob), V)
         dz = 1.0 / J
         row = -dz * L * np.array([eps, 0.0, B2.b * eps**2, 0.0])
         np.testing.assert_allclose(res[:4 * J].reshape(J, 4),
@@ -61,7 +60,7 @@ class TestResidual:
         prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-2, J=2)
         rng = np.random.default_rng(11)
         V = rng.uniform(0.2, 1.5, (3, 4))
-        res = fbf_residual(V, prob)
+        res = blocksolve.full_residual(build_system(prob), V)
         for j in (1, 2):
             avg = 0.5 * (V[j] + V[j - 1])
             f = model.rhs(0.0, avg[:3], B2)
@@ -107,7 +106,8 @@ class TestSolve:
         sol, _ = fbf_b2[(BcKind.SLIP, 1e-3)]
         prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-3)
         V = np.column_stack([sol.u, np.full(prob.J + 1, sol.free_boundary)])
-        assert np.mean(np.abs(fbf_residual(V, prob))) <= 10 * prob.tol
+        res = blocksolve.full_residual(build_system(prob), V)
+        assert np.mean(np.abs(res)) <= 10 * prob.tol
 
     def test_free_boundary_unknown_constant_across_nodes(self):
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=200)
@@ -196,3 +196,12 @@ class TestContinuation:
         assert isinstance(err, NegativeFreeBoundary)
         assert len(results) == 1
         assert calls == [1e-2, 1e-3]
+
+    def test_non_solver_exception_propagates(self, monkeypatch):
+        def broken(prob, initial=None):
+            raise RuntimeError("not a solver failure")
+
+        monkeypatch.setattr(free_boundary, "solve_fbf", broken)
+        prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-2, J=200)
+        with pytest.raises(RuntimeError):
+            continuation_solve(prob, [1e-2, 1e-3])

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oceanbvp import blocksolve
+from oceanbvp import blocksolve, model
 from oceanbvp.model import BcKind, ModelParams
 from oceanbvp.quasi_uniform import (QuasiUniformGrid, build_system,
-                                    default_initial_guess,
-                                    midpoint_derivative, midpoint_value,
-                                    qug_residual, solve_qug)
+                                    default_initial_guess, solve_qug)
 
 B2 = ModelParams(2.0)
 
@@ -64,11 +62,16 @@ class TestGrid:
 
 
 class TestMidpointFormulae:
+    """The scheme's interpolation c*u_j + b*u_{j+1} and derivative
+    (u_{j+1} - u_j)/a on interval j, from the grid's weight and width
+    arrays."""
+
     def test_interpolation_reproduces_constants(self):
         g = QuasiUniformGrid(c=5.0, J=20)
         v = np.array([1.0, -2.0, 0.5])
-        for j in range(g.J):
-            np.testing.assert_allclose(midpoint_value(v, v, g, j), v)
+        b, c = g.interval_weights(np.arange(g.J))
+        np.testing.assert_allclose(c[:, None] * v + b[:, None] * v,
+                                   np.tile(v, (g.J, 1)))
 
     def test_interior_weights_near_half(self):
         # at j = 0 the map curvature is mild, so the convex pair is close
@@ -80,36 +83,44 @@ class TestMidpointFormulae:
 
     def test_last_interval_value_finite(self):
         g = QuasiUniformGrid(c=5.0, J=200)
-        out = midpoint_value(np.array([0.9]), np.array([1.0]), g, g.J - 1)
-        assert np.isfinite(out).all()
+        b, c = g.interval_weights(np.arange(g.J))
+        assert np.isfinite(c[-1] * 0.9 + b[-1] * 1.0)
 
     def test_derivative_of_constant_vanishes(self):
         g = QuasiUniformGrid(c=5.0, J=20)
-        v = np.array([0.7])
-        for j in range(g.J):
-            np.testing.assert_array_equal(midpoint_derivative(v, v, g, j),
-                                          [0.0])
+        u = np.full(g.J + 1, 0.7)
+        np.testing.assert_array_equal(
+            (u[1:] - u[:-1]) / g.interval_width(np.arange(g.J)), 0.0)
 
     def test_derivative_recovers_linear_slope(self):
         g = QuasiUniformGrid(c=5.0, J=400)
-        for j in (0, 50, 150):
-            u_j = np.array([g.node(j)])
-            u_j1 = np.array([g.node(j + 1)])
-            d = midpoint_derivative(u_j, u_j1, g, j)[0]
-            assert d == pytest.approx(1.0, abs=1e-4)
+        j = np.array([0, 50, 150])
+        xi = g.finite_nodes()
+        d = (xi[j + 1] - xi[j]) / g.interval_width(j)
+        np.testing.assert_allclose(d, 1.0, atol=1e-4)
 
     def test_derivative_finite_on_last_interval(self):
         g = QuasiUniformGrid(c=5.0, J=200)
-        d = midpoint_derivative(np.array([1.0 - 1e-6]), np.array([1.0]),
-                                g, g.J - 1)
-        assert np.isfinite(d).all()
+        u_j, u_j1 = 1.0 - 1e-6, 1.0
+        assert np.isfinite((u_j1 - u_j) / g.interval_width(g.J - 1))
+
+    def test_arrays_match_per_interval_values(self):
+        g = QuasiUniformGrid(c=5.0, J=50)
+        j = np.arange(g.J)
+        b, c = g.interval_weights(j)
+        a = g.interval_width(j)
+        loop = np.array([[*g.interval_weights(k), g.interval_width(k)]
+                         for k in range(g.J)])
+        np.testing.assert_allclose(np.column_stack([b, c, a]), loop,
+                                   rtol=1e-15, atol=0)
 
 
 class TestResidual:
     def test_equilibrium_profile(self):
         g = QuasiUniformGrid(c=5.0, J=20)
         U = np.tile([1.0, 0.0, 0.0], (21, 1))
-        res = qug_residual(U, B2, BcKind.NO_SLIP, g)
+        sys = build_system(B2, BcKind.NO_SLIP, g)
+        res = blocksolve.full_residual(sys, U)
         np.testing.assert_array_equal(res[:60], 0.0)
         np.testing.assert_allclose(res[60:], [1.0, 0.0, 0.0])
 
@@ -118,15 +129,25 @@ class TestResidual:
             sol, _ = qug_b2[(kind, 200)]
             g = QuasiUniformGrid(c=5.0, J=200)
             U = np.vstack([sol.u, sol.infinity_state])
-            assert np.mean(np.abs(qug_residual(U, B2, kind, g))) < 1e-8
+            res = blocksolve.full_residual(build_system(B2, kind, g), U)
+            assert np.mean(np.abs(res)) < 1e-8
 
     def test_coefficient_freeze_shrinks_last_interval_error(self, qug_b2):
         sol, _ = qug_b2[(BcKind.NO_SLIP, 200)]
         g = QuasiUniformGrid(c=5.0, J=200)
         U = np.vstack([sol.u, sol.infinity_state])
-        frozen = qug_residual(U, B2, BcKind.NO_SLIP, g)
-        literal = qug_residual(U, B2, BcKind.NO_SLIP, g,
-                               freeze_last_weights=False)
+        frozen = blocksolve.full_residual(
+            build_system(B2, BcKind.NO_SLIP, g), U)
+        # the literal weight on the infinity node of the last interval is 0
+        j = np.arange(g.J)
+        weights = g.interval_weights(j)[0].copy()
+        weights[-1] = 0.0
+        literal_sys = blocksolve.midpoint_system(
+            g.interval_width(j), weights,
+            lambda V: model.rhs(0.0, V, B2),
+            lambda V: model.rhs_jacobian(0.0, V, B2),
+            *model.boundary_rows(BcKind.NO_SLIP, (1.0,)))
+        literal = blocksolve.full_residual(literal_sys, U)
         j_last = slice(3 * (g.J - 1), 3 * g.J)
         assert np.max(np.abs(literal[j_last])) \
             > np.max(np.abs(frozen[j_last]))
