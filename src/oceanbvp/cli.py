@@ -1,14 +1,19 @@
-"""Command-line harness for the three BVP solvers.
+"""Command-line harness for the three BVP formulations.
 
-Subcommands:
-  solve    run one solver and report beta, boundary and iteration data
-  tables   re-run the twelve comparison configurations and check each
-           result against the reference values
-  sweep    solve over a list of b values and compare against the
-           closed-form approximation of the missing initial condition
+Subcommands, each with only the options it reads:
+  solve    run one method and report beta, boundary and iteration data
+  tables   re-run the twelve comparison configurations against the
+           reference values
+  sweep    solve over a list of b values against the closed-form
+           approximation of the missing initial condition
   profile  write a converged solution profile as CSV (xi, u, du, d2u)
 
-Exit codes: 0 success, 1 solver failure, 2 configuration error.
+METHODS maps each method to the options it reads and the function that
+solves one configuration; an option the method does not read is a
+configuration error.
+
+Exit codes: 0 success, 1 solver failure or a value a solver rejects,
+2 a missing, stray or malformed option.
 """
 
 import argparse
@@ -17,8 +22,7 @@ import io
 import json
 import math
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import benchmarks, free_boundary, quasi_uniform, shooting
 from .blocksolve import NewtonError
@@ -37,133 +41,153 @@ class ConfigError(Exception):
     pass
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise ConfigError(f"--{name} is required for method "
-                              f"{args.method}")
+# -- methods -----------------------------------------------------------------
 
+# Each solve function takes (kind, b, options, warm), where ``warm`` is a
+# converged solution of the same method to start from or None, and returns
+# (report fields, solution).  Solvers are looked up in their modules at
+# call time, so a patched or traced solver is the one that runs.
 
-def _run_solver(method, kind, b, *, beta0=None, beta1=None, xi_inf=10.0,
-                eps_list=None, J=None, c=None, tol=1e-6, initial=None):
-    """Run one solver configuration; returns (report dict, MeshSolution).
-
-    ``initial`` warm-starts the fbf and qug solves from a full iterate.
-    """
-    params = ModelParams(b=b)
-    if method in ("shoot-secant", "shoot-newton"):
-        prob = ShootingProblem(params=params, kind=kind,
-                               xi_infinity=xi_inf, tol=tol)
-        if method == "shoot-secant":
-            res = shooting.solve_secant(beta0, beta1, prob)
-        else:
-            res = shooting.solve_newton(beta0, prob)
-        report = {
-            "method": method, "bc": kind.value, "b": b,
-            "beta": res.beta, "boundary": xi_inf,
+def _shoot(kind, b, o, solve):
+    res = solve(ShootingProblem(params=ModelParams(b=b), kind=kind,
+                                xi_infinity=o["xi_inf"], tol=o["tol"]))
+    return {"beta": res.beta, "boundary": o["xi_inf"],
             "iterations": res.iterations, "residual": res.residual,
-            "ivp_stats": {
-                "accepted_steps": res.stats.accepted_steps,
-                "rejected_steps": res.stats.rejected_steps,
-                "rhs_evaluations": res.stats.rhs_evaluations,
-            },
-        }
-        return report, res.trajectory
-    if method in ("fbf", "fbf-continuation"):
-        prob = FbfProblem(params=params, kind=kind, eps=eps_list[0],
-                          J=J or 2000, tol=tol)
-    if method == "fbf":
-        sol, rep = free_boundary.solve_fbf(prob, initial=initial)
-        report = {
-            "method": method, "bc": kind.value, "b": b,
-            "beta": sol.beta, "boundary": sol.free_boundary,
-            "eps": eps_list[0], "gridpoints": prob.J,
-            "iterations": rep.iterations,
-            "final_update_norm": rep.final_update_norm,
-        }
-        return report, sol
-    if method == "fbf-continuation":
-        results, err = free_boundary.continuation_solve(prob, eps_list)
-        if err is not None:
-            raise err
-        stages = [{
-            "eps": eps, "beta": sol.beta, "boundary": sol.free_boundary,
-            "iterations": rep.iterations,
-        } for eps, (sol, rep) in zip(eps_list, results)]
-        sol, rep = results[-1]
-        report = {
-            "method": method, "bc": kind.value, "b": b,
-            "beta": sol.beta, "boundary": sol.free_boundary,
-            "gridpoints": prob.J,
+            "ivp_stats": asdict(res.stats)}, res.trajectory
+
+
+def _secant(kind, b, o, warm):
+    beta0 = o["beta0"] if warm is None else warm.beta
+    # With no second seed given, it lies just above the first.
+    beta1 = beta0 * 1.1 + 1e-3 if o["beta1"] is None else o["beta1"]
+    return _shoot(kind, b, o, lambda p: shooting.solve_secant(beta0, beta1, p))
+
+
+def _newton(kind, b, o, warm):
+    beta0 = o["beta0"] if warm is None else warm.beta
+    return _shoot(kind, b, o, lambda p: shooting.solve_newton(beta0, p))
+
+
+def _fbf_problem(kind, b, o):
+    return FbfProblem(params=ModelParams(b=b), kind=kind, eps=o["eps"][0],
+                      J=o["J"], tol=o["tol"])
+
+
+def _fbf(kind, b, o, warm):
+    if len(o["eps"]) != 1:
+        raise ConfigError("method fbf takes one --eps value")
+    prob = _fbf_problem(kind, b, o)
+    initial = None if warm is None else free_boundary.iterate_of(warm)
+    sol, rep = free_boundary.solve_fbf(prob, initial=initial)
+    return {"beta": sol.beta, "boundary": sol.free_boundary, "eps": prob.eps,
+            "gridpoints": prob.J, "iterations": rep.iterations,
+            "final_update_norm": rep.final_update_norm}, sol
+
+
+def _fbf_continuation(kind, b, o, warm):
+    eps = o["eps"]
+    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ConfigError("fbf-continuation needs strictly decreasing --eps")
+    results, err = free_boundary.continuation_solve(
+        _fbf_problem(kind, b, o), eps)
+    if err is not None:
+        raise err
+    stages = [{"eps": e, "beta": s.beta, "boundary": s.free_boundary,
+               "iterations": r.iterations} for e, (s, r) in zip(eps, results)]
+    sol = results[-1][0]
+    return {"beta": sol.beta, "boundary": sol.free_boundary,
+            "gridpoints": o["J"],
             "iterations": [s["iterations"] for s in stages],
-            "stages": stages,
-        }
-        return report, sol
-    if method == "qug":
-        sol, rep = quasi_uniform.solve_qug(c or 5.0, J or 200, params,
-                                           kind, tol=tol, initial=initial)
-        report = {
-            "method": method, "bc": kind.value, "b": b,
-            "beta": sol.beta, "boundary": "inf",
-            "gridpoints": J or 200, "c": c or 5.0,
-            "iterations": rep.iterations,
-            "final_update_norm": rep.final_update_norm,
-        }
-        return report, sol
-    raise ConfigError(f"unknown method {method}")
+            "stages": stages}, sol
+
+
+def _qug(kind, b, o, warm):
+    initial = None if warm is None else quasi_uniform.iterate_of(warm)
+    sol, rep = quasi_uniform.solve_qug(o["c"], o["J"], ModelParams(b=b), kind,
+                                       tol=o["tol"], initial=initial)
+    return {"beta": sol.beta, "boundary": "inf", "gridpoints": o["J"],
+            "c": o["c"], "iterations": rep.iterations,
+            "final_update_norm": rep.final_update_norm}, sol
+
+
+_FBF_OPTIONS = {"eps": (1e-5,), "J": 2000, "tol": 1e-6}
+
+# name -> (solve function, {option: default}).  A default of None marks an
+# option the command line requires.
+METHODS = {
+    "shoot-secant": (_secant, {"beta0": None, "beta1": None,
+                               "xi_inf": 10.0, "tol": 1e-6}),
+    "shoot-newton": (_newton, {"beta0": None, "xi_inf": 10.0, "tol": 1e-6}),
+    "fbf": (_fbf, _FBF_OPTIONS),
+    "fbf-continuation": (_fbf_continuation, _FBF_OPTIONS),
+    "qug": (_qug, {"J": 200, "c": 5.0, "tol": 1e-6}),
+}
+
+# A continuation is a sweep over eps of its own and takes no warm start.
+SWEEP_METHODS = [m for m in METHODS if m != "fbf-continuation"]
+
+# The argparse keywords of every method option.
+OPTIONS = {"beta0": dict(type=float), "beta1": dict(type=float),
+           "xi_inf": dict(type=float), "J": dict(type=int),
+           "c": dict(type=float), "tol": dict(type=float),
+           "eps": dict(type=float, action="append",
+                       help="repeat for fbf-continuation")}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _options(method, **given):
+    """The options ``method`` reads: its defaults under the given values.
+    A value of None counts as absent; one for an option the method does
+    not read is a ConfigError."""
+    defaults = METHODS[method][1]
+    given = {k: v for k, v in given.items() if v is not None}
+    for name in given:
+        if name not in defaults:
+            raise ConfigError(f"{_flag(name)} does not apply to method "
+                              f"{method}")
+    return {**defaults, **given}
+
+
+def _solve(method, kind, b, options, warm=None):
+    """Solve one configuration; returns (report, solution)."""
+    fields, solution = METHODS[method][0](kind, b, options, warm)
+    return {"method": method, "bc": kind.value, "b": b, **fields}, solution
 
 
 # -- tables ------------------------------------------------------------------
 
-def _comparison_cell(row):
-    """Run one reference configuration; returns the computed values."""
-    beta0, beta1 = benchmarks.SHOOTING_SEEDS.get((row.method, row.kind),
-                                                 (None, None))
-    report, _ = _run_solver(row.method, row.kind, 2.0, beta0=beta0,
-                            beta1=beta1, eps_list=[1e-5], J=row.grid_points,
-                            c=5.0)
-    evals = report.get("ivp_stats", {}).get("rhs_evaluations")
-    return report["beta"], report["iterations"], evals
-
-
 def reproduce_tables(skip=()):
-    """Re-run the comparison configurations, in deterministic row order.
-
-    Returns per-kind dicts with the analytic caption value and annotated
-    rows.
-    """
-    rows = [r for r in benchmarks.COMPARISON_ROWS
-            if not any(s in r.method for s in skip)]
-    computed = [_comparison_cell(row) for row in rows]
-    out = {}
-    for kind in (BcKind.NO_SLIP, BcKind.SLIP):
-        entries = []
-        for row, (beta, iters, evals) in zip(rows, computed):
-            if row.kind is not kind:
-                continue
-            entries.append({
-                "method": row.method,
-                "boundary": row.boundary_label,
-                "gridpoints": row.grid_points or "",
-                "iterations": iters,
-                "beta": beta,
-                "beta_ref": row.beta,
-                "iterations_ref": row.iterations,
-                "pass": (abs(beta - row.beta) <= row.beta_tol
-                         and abs(iters - row.iterations) <= row.iter_tol),
-            })
-        out[kind.value] = {
-            "caption_beta_approx": benchmarks.APPROX_BETA[kind],
-            "rows": entries,
-        }
-    return out
+    """Re-run the comparison configurations in row order; returns per-kind
+    dicts with the analytic caption value and annotated rows."""
+    entries = {BcKind.NO_SLIP: [], BcKind.SLIP: []}
+    for row in benchmarks.COMPARISON_ROWS:
+        if any(s in row.method for s in skip):
+            continue
+        beta0, beta1 = benchmarks.SHOOTING_SEEDS.get((row.method, row.kind),
+                                                     (None, None))
+        # grid_points is 0 on a shooting row
+        options = _options(row.method, beta0=beta0, beta1=beta1,
+                           J=row.grid_points or None)
+        report, _ = _solve(row.method, row.kind, 2.0, options)
+        beta, iters = report["beta"], report["iterations"]
+        entries[row.kind].append({
+            "method": row.method, "boundary": row.boundary_label,
+            "gridpoints": row.grid_points or "", "iterations": iters,
+            "beta": beta, "beta_ref": row.beta,
+            "iterations_ref": row.iterations,
+            "pass": (abs(beta - row.beta) <= row.beta_tol
+                     and abs(iters - row.iterations) <= row.iter_tol)})
+    return {kind.value: {"caption_beta_approx": benchmarks.APPROX_BETA[kind],
+                         "rows": rows}
+            for kind, rows in entries.items()}
 
 
 def _emit_tables(result, fmt, stream):
     if fmt == "json":
-        json.dump(result, stream, indent=2)
-        stream.write("\n")
-        return
+        return _emit_report(result, fmt, stream)
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(COMPARISON_HEADER)
@@ -195,39 +219,34 @@ def _emit_tables(result, fmt, stream):
 # Anything else (a bad argument, a bug) propagates.
 SOLVER_ERRORS = (ShootingError, IntegrationError, NewtonError)
 
-_ITERATE_OF = {"fbf": free_boundary.iterate_of,
-               "qug": quasi_uniform.iterate_of}
-
 
 def sweep_b(b_values, method, kind, J=None, c=None):
     """Solve over b values in order and tabulate the gap to the closed-form
     approximation.  Each solve is warm-started from the last converged
     one: shooting from its beta, relaxation from its full iterate."""
+    if method not in SWEEP_METHODS:
+        raise ConfigError(f"method {method} cannot be swept; choose one of "
+                          f"{', '.join(SWEEP_METHODS)}")
+    options = _options(method, J=J, c=c)
+    if "beta0" in options:
+        options["beta0"] = 1.0  # the Munk-limit beta starts shooting
     b_values = list(b_values)
     for b in b_values:
         if not (math.isfinite(b) and b >= 0):
             raise ConfigError(f"b values must be finite and non-negative, "
                               f"got {b}")
     rows = []
-    prev_beta = 1.0
-    state = None
+    warm = None
     for b in b_values:
         approx = approx_missing_init(kind, b)
         try:
-            if method in ("shoot-secant", "shoot-newton"):
-                report, _ = _run_solver(method, kind, b, beta0=prev_beta,
-                                        beta1=prev_beta * 1.1 + 1e-3)
-            else:
-                report, sol = _run_solver(method, kind, b, eps_list=[1e-5],
-                                          J=J, c=c, initial=state)
-                state = _ITERATE_OF[method](sol)
+            report, warm = _solve(method, kind, b, options, warm)
         except SOLVER_ERRORS as err:
             rows.append({"b": b, "beta_numeric": "", "beta_approx": approx,
                          "relative_gap": "", "status": "failed",
                          "error": f"{type(err).__name__}: {err}"})
             continue
         beta = report["beta"]
-        prev_beta = beta
         rows.append({"b": b, "beta_numeric": beta, "beta_approx": approx,
                      "relative_gap": abs(beta - approx) / max(abs(beta), 1e-300),
                      "status": "ok", "error": ""})
@@ -242,130 +261,91 @@ def emit_profiles(solution, stream):
     writer = csv.writer(stream)
     writer.writerow(PROFILE_HEADER)
     for xi, u in zip(solution.xi, solution.u):
-        writer.writerow([f"{xi:.10g}", f"{u[0]:.10g}", f"{u[1]:.10g}",
-                         f"{u[2]:.10g}"])
+        writer.writerow([f"{xi:.10g}", *(f"{v:.10g}" for v in u)])
     if solution.infinity_state is not None:
         s = solution.infinity_state
-        writer.writerow(["inf", f"{s[0]:.10g}", f"{s[1]:.10g}",
-                         f"{s[2]:.10g}"])
+        writer.writerow(["inf", *(f"{v:.10g}" for v in s)])
 
 
 # -- argument plumbing -------------------------------------------------------
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit_report(report, fmt, stream):
     if fmt == "json":
-        json.dump(report, stream, indent=2, default=_json_default)
+        json.dump(report, stream, indent=2)
         stream.write("\n")
     elif fmt == "csv":
         flat = {k: v for k, v in report.items() if not isinstance(v, (dict, list))}
-        writer = csv.writer(stream)
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
+        csv.writer(stream).writerows([flat.keys(), flat.values()])
     else:
         for key, value in report.items():
             stream.write(f"{key}: {value}\n")
 
 
-def _add_common(p):
-    p.add_argument("--bc", choices=["no-slip", "slip"], default="no-slip")
-    p.add_argument("--b", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--format", choices=["table", "csv", "json"],
-                   default="table")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _add_method_knobs(p):
-    p.add_argument("--method", required=True,
-                   choices=["shoot-secant", "shoot-newton", "fbf",
-                            "fbf-continuation", "qug"])
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--beta1", type=float, default=None)
-    p.add_argument("--xi-inf", type=float, default=10.0)
-    p.add_argument("--eps", type=float, action="append", default=None,
-                   help="free-boundary derivative level; repeat for "
-                        "continuation")
-    p.add_argument("--J", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
+def _b_values(text):
+    try:
+        return [float(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
 
 
 def build_parser():
+    """Each subcommand gets only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="oceanbvp",
         description="Solvers for the semi-infinite ocean circulation BVP")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="run one solver")
-    _add_method_knobs(p)
-    _add_common(p)
-
-    p = sub.add_parser("tables", help="reproduce the comparison tables")
-    p.add_argument("--skip", default="",
-                   help="comma-separated method substrings to skip")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="sweep the nonlinearity parameter b")
-    p.add_argument("--method", required=True,
-                   choices=["shoot-secant", "shoot-newton", "fbf", "qug"])
-    p.add_argument("--b-values", default="",
-                   help="comma-separated list of b values")
-    p.add_argument("--J", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("profile", help="emit a solution profile as CSV")
-    _add_method_knobs(p)
-    _add_common(p)
+    solve = sub.add_parser("solve", help="run one solver")
+    tables = sub.add_parser("tables", help="reproduce the comparison tables")
+    tables.add_argument("--skip", default="",
+                        help="comma-separated method substrings to skip")
+    sweep = sub.add_parser("sweep", help="sweep the nonlinearity parameter b")
+    sweep.add_argument("--method", required=True, choices=SWEEP_METHODS)
+    sweep.add_argument("--b-values", type=_b_values, default=(),
+                       help="comma-separated list of b values")
+    for name in ("J", "c"):
+        sweep.add_argument(_flag(name), **OPTIONS[name])
+    profile = sub.add_parser("profile", help="emit a solution profile as CSV")
+    for p in (solve, profile):
+        p.add_argument("--method", required=True, choices=list(METHODS))
+        for name, kwargs in OPTIONS.items():
+            p.add_argument(_flag(name), **kwargs)
+        p.add_argument("--b", type=float, default=2.0)
+    for p in (solve, sweep, profile):
+        p.add_argument("--bc", choices=["no-slip", "slip"], default="no-slip")
+    for p in (solve, tables):
+        p.add_argument("--format", choices=["table", "csv", "json"],
+                       default="table")
+    for p in (solve, tables, sweep, profile):
+        p.add_argument("--out", default=None,
+                       help="output path (default stdout)")
     return parser
 
 
-def _validated_knobs(args):
-    if args.method == "shoot-secant":
-        _require(args, "beta0", "beta1")
-    elif args.method == "shoot-newton":
-        _require(args, "beta0")
-        if args.beta1 is not None:
-            raise ConfigError("--beta1 applies only to shoot-secant")
-    eps = args.eps
-    if args.method in ("fbf", "fbf-continuation") and eps is None:
-        eps = [1e-5]
-    return dict(beta0=args.beta0, beta1=args.beta1, xi_inf=args.xi_inf,
-                eps_list=eps, J=args.J, c=args.c, tol=args.tol)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    buffer = io.StringIO()
     try:
-        buffer = io.StringIO()
-        if args.command == "solve":
-            knobs = _validated_knobs(args)
-            report, _ = _run_solver(args.method, BcKind(args.bc), args.b,
-                                    **knobs)
-            _emit_report(report, args.format, buffer)
-        elif args.command == "tables":
+        if args.command == "tables":
             skip = tuple(s for s in args.skip.split(",") if s)
-            result = reproduce_tables(skip=skip)
-            _emit_tables(result, args.format, buffer)
+            _emit_tables(reproduce_tables(skip=skip), args.format, buffer)
         elif args.command == "sweep":
-            b_values = [float(s) for s in args.b_values.split(",") if s]
-            rows = sweep_b(b_values, args.method, BcKind(args.bc),
-                           J=args.J, c=args.c)
-            writer = csv.writer(buffer)
-            writer.writerow(SWEEP_HEADER)
-            for r in rows:
-                writer.writerow([r[k] for k in SWEEP_HEADER])
-        elif args.command == "profile":
-            knobs = _validated_knobs(args)
-            _, solution = _run_solver(args.method, BcKind(args.bc), args.b,
-                                      **knobs)
-            emit_profiles(solution, buffer)
+            writer = csv.DictWriter(buffer, SWEEP_HEADER)
+            writer.writeheader()
+            writer.writerows(sweep_b(args.b_values, args.method,
+                                     BcKind(args.bc), J=args.J, c=args.c))
+        else:
+            options = _options(args.method,
+                               **{n: getattr(args, n) for n in OPTIONS})
+            missing = [n for n, v in options.items() if v is None]
+            if missing:
+                raise ConfigError(f"{_flag(missing[0])} is required for "
+                                  f"method {args.method}")
+            report, solution = _solve(args.method, BcKind(args.bc), args.b,
+                                      options)
+            if args.command == "solve":
+                _emit_report(report, args.format, buffer)
+            else:
+                emit_profiles(solution, buffer)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

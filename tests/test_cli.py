@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from oceanbvp import cli, quasi_uniform
+from oceanbvp import cli, free_boundary, quasi_uniform
 from oceanbvp.cli import main
 from oceanbvp.model import BcKind, approx_missing_init
 
@@ -73,6 +73,43 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--method", "shoot-newton",
                            "--beta0", "1.0", "--beta1", "2.0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--method", "shoot-newton", "--beta0", "1.0", "--J", "100"], "--J"),
+        (["--method", "shoot-secant", "--beta0", "1.0", "--beta1", "2.0",
+          "--c", "5"], "--c"),
+        (["--method", "qug", "--beta0", "1.0"], "--beta0"),
+        (["--method", "qug", "--xi-inf", "8"], "--xi-inf"),
+        (["--method", "qug", "--eps", "1e-2"], "--eps"),
+    ])
+    def test_stray_method_option_is_config_error(self, capsys, argv, flag):
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert flag in err
+
+    def test_unordered_continuation_eps_is_config_error(self, capsys):
+        code, _, err = run(capsys, "solve", "--method", "fbf-continuation",
+                           "--J", "100", "--eps", "1e-3", "--eps", "1e-2")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_repeated_fbf_eps_is_config_error(self, capsys):
+        code, _, err = run(capsys, "solve", "--method", "fbf", "--J", "100",
+                           "--eps", "1e-2", "--eps", "1e-3")
+        assert code == 2
+        assert "--eps" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "qug", "--J", "0"], "J must be at least 3"),
+        (["--method", "qug", "--c", "0"], "c must be positive"),
+        (["--method", "fbf", "--J", "0"], "J must be at least 2"),
+    ])
+    def test_zero_grid_values_reach_the_constructor(self, capsys, argv,
+                                                    message):
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 1
+        assert message in err
 
     def test_solver_failure_is_exit_one(self, capsys):
         code, _, err = run(capsys, "solve", "--method", "shoot-secant",
@@ -149,6 +186,37 @@ class TestSweep:
         assert rows[0]["status"] == "failed"
         assert rows[0]["error"].startswith("NewtonMaxIterations: ")
 
+    def test_malformed_b_values_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--method", "qug", "--b-values", "1,abc"])
+        assert exc.value.code == 2
+        assert "--b-values" in capsys.readouterr().err
+
+    def test_stray_method_option_is_config_error(self, capsys):
+        code, _, err = run(capsys, "sweep", "--method", "shoot-newton",
+                           "--J", "100", "--b-values", "1")
+        assert code == 2
+        assert "--J" in err
+
+    @pytest.mark.parametrize("method", ["fbf-continuation", "nope"])
+    def test_unsweepable_method_fails_before_solving(self, monkeypatch,
+                                                     method):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the method was checked")
+
+        monkeypatch.setattr(free_boundary, "continuation_solve", never)
+        with pytest.raises(cli.ConfigError):
+            cli.sweep_b([1.0], method, BcKind.SLIP)
+
+    def test_method_choices_are_the_sweepable_methods(self, capsys):
+        parser = cli.build_parser()
+        for method in cli.SWEEP_METHODS:
+            args = parser.parse_args(["sweep", "--method", method])
+            assert args.method == method
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["sweep", "--method", "fbf-continuation"])
+        assert exc.value.code == 2
+
     def test_non_solver_exception_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("not a solver failure")
@@ -209,3 +277,18 @@ class TestTables:
         assert code == 0
         assert "analytic approximation" in out
         assert "pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--bc", "slip"],
+    ["tables", "--b", "1"],
+    ["tables", "--tol", "1e-3"],
+    ["sweep", "--method", "qug", "--b", "1"],
+    ["sweep", "--method", "qug", "--tol", "1e-3"],
+    ["sweep", "--method", "qug", "--format", "json"],
+    ["profile", "--method", "qug", "--format", "csv"],
+])
+def test_options_a_subcommand_ignores_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
