@@ -12,8 +12,8 @@ from .model import (BcKind, MeshSolution, ModelParams, approx_missing_init,
                     bc_initial, munk_exact, rhs, rhs_jacobian,
                     rhs_variational)
 from .ivp import IvpOptions, IvpStats, integrate
-from .shooting import ShootingProblem, ShootingResult, shoot_residual, \
-    solve_newton, solve_secant
+from .shooting import ShootingProblem, ShootingResult, solve_newton, \
+    solve_secant
 from .free_boundary import FbfProblem, continuation_solve, solve_fbf
 from .quasi_uniform import QuasiUniformGrid, solve_qug
 
@@ -21,8 +21,7 @@ __all__ = [
     "BcKind", "MeshSolution", "ModelParams", "approx_missing_init",
     "bc_initial", "munk_exact", "rhs", "rhs_jacobian", "rhs_variational",
     "IvpOptions", "IvpStats", "integrate",
-    "ShootingProblem", "ShootingResult", "shoot_residual", "solve_newton",
-    "solve_secant",
+    "ShootingProblem", "ShootingResult", "solve_newton", "solve_secant",
     "FbfProblem", "continuation_solve", "solve_fbf",
     "QuasiUniformGrid", "solve_qug",
 ]

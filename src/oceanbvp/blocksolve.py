@@ -99,7 +99,6 @@ def midpoint_system(widths, weights, g, dg, A, C, target):
 class NewtonReport:
     iterations: int
     final_update_norm: float
-    converged: bool
 
 
 def _triangularize(W, ncols, nodes):
@@ -238,15 +237,8 @@ def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
         update_norm = np.mean(np.abs(dV))
         if update_norm <= tol:
             return V, NewtonReport(iterations=it,
-                                   final_update_norm=update_norm,
-                                   converged=True)
+                                   final_update_norm=update_norm)
     raise NewtonMaxIterations(max_iter, update_norm)
-
-
-def full_residual(sys, V):
-    """Residual as one flat vector: J*m interior rows then m boundary rows."""
-    interior, boundary = sys.residual(V)
-    return np.concatenate([interior.ravel(), boundary])
 
 
 def dense_jacobian_from_blocks(L, R, A, C):
@@ -261,22 +253,3 @@ def dense_jacobian_from_blocks(L, R, A, C):
     M[J * m:, :m] = A
     M[J * m:, J * m:] = C
     return M
-
-
-def check_jacobian(sys, V, step=1e-6):
-    """Max discrepancy between the analytic Jacobian blocks and central
-    finite differences of the residual, relative to max(1, |entry|)."""
-    V = np.asarray(V, float)
-    dense = dense_jacobian_from_blocks(*sys.jacobian(V))
-    flat = V.ravel()
-    fd = np.empty_like(dense)
-    for i in range(flat.size):
-        h = step * max(1.0, abs(flat[i]))
-        vp = flat.copy()
-        vp[i] += h
-        vm = flat.copy()
-        vm[i] -= h
-        shape = V.shape
-        fd[:, i] = (full_residual(sys, vp.reshape(shape))
-                    - full_residual(sys, vm.reshape(shape))) / (2 * h)
-    return np.max(np.abs(dense - fd) / np.maximum(1.0, np.abs(dense)))

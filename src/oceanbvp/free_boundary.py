@@ -34,14 +34,13 @@ class FbfProblem:
     eps: float = 1e-5
     J: int = 2000
     tol: float = 1e-6
-    max_iter: int = 100
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
         if self.J < 2:
             raise ValueError("J must be at least 2")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
 
 
@@ -97,7 +96,6 @@ def solve_fbf(prob, initial=None):
             raise NegativeFreeBoundary(u4)
 
     V, report = blocksolve.newton_solve(sys, V0, prob.tol,
-                                        max_iter=prob.max_iter,
                                         iterate_check=check)
     return _to_solution(V, prob), report
 
@@ -120,7 +118,7 @@ def continuation_solve(prob, eps_sequence):
     state = None
     for eps in eps_sequence:
         step = FbfProblem(params=prob.params, kind=prob.kind, eps=eps,
-                          J=prob.J, tol=prob.tol, max_iter=prob.max_iter)
+                          J=prob.J, tol=prob.tol)
         try:
             sol, report = solve_fbf(step, initial=state)
         except blocksolve.NewtonError as err:  # report the completed prefix

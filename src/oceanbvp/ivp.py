@@ -58,10 +58,9 @@ class IvpOptions:
     rel_tol: float = 1e-3
     abs_tol: float = 1e-6
     max_steps: int = 1_000_000
-    initial_step: float = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -106,7 +105,7 @@ def step_bs23(rhs, t, y, h, f_start=None):
     return y2, y3, nev, k4
 
 
-def _initial_step(y0, f0, t_span, opts):
+def _first_step(y0, f0, t_span, opts):
     # One-evaluation heuristic: balance the scaled RMS norms of y0 and
     # f(y0).
     d0 = d1 = 0.0
@@ -145,7 +144,8 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     it exactly, and the step size and FSAL slope carry on across points.
 
     Local error per step is held below abs_tol + rel_tol*|y| in the RMS
-    norm; the third-order solution is propagated.
+    norm; the third-order solution is propagated.  A non-finite ``y0``
+    is a ValueError: its error norm would reject every step.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -154,11 +154,13 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
     t = t0
     y = tuple(map(float, y0))
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"initial state must be finite, got {y}")
     n = len(y)
     f = rhs(t, y)
     nev = 1
     accepted = rejected = 0
-    h = opts.initial_step or _initial_step(y, f, t_end - t0, opts)
+    h = _first_step(y, f, t_end - t0, opts)
     out = []
     for t_next in samples:
         while t < t_next:

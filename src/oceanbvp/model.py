@@ -38,12 +38,6 @@ class ModelParams:
         if not math.isfinite(self.b) or self.b < 0:
             raise ValueError(f"b must be finite and non-negative, got {self.b}")
 
-    @classmethod
-    def from_physical(cls, gamma, kappa):
-        """Reduce the inertial/viscous layer widths to the single parameter
-        b = pi * (gamma / kappa^2)^(1/3)."""
-        return cls(b=math.pi * (gamma / kappa**2) ** (1.0 / 3.0))
-
 
 def forcing(u1, u2, u3, b):
     """The third component of the RHS, b*(u2^2 - u1*u3) + u1 - 1, for
@@ -128,26 +122,17 @@ def sensitivity_initial(kind):
     return bc_initial(kind, 1.0)
 
 
-def approx_missing_init(kind, b, principal=True):
+def approx_missing_init(kind, b):
     """Closed-form approximation of the missing initial condition.
 
-    Rigid:    u''(0) ~ sqrt(2 / (1 +- sqrt(1 + 4b/3)))
-    Slippery: u'(0)  ~ 2 / (1 +- sqrt(1 + 10b/3))
-
-    The principal branch takes the "+" sign, which is the one the computed
-    solutions agree with at b = 2; ``principal=False`` gives the other
-    branch (negative denominator for b > 0, so complex/negative values may
-    result; it is reported for completeness, never solved for).
+    Rigid:    u''(0) ~ sqrt(2 / (1 + sqrt(1 + 4b/3)))
+    Slippery: u'(0)  ~ 2 / (1 + sqrt(1 + 10b/3))
     """
-    if b < 0:
+    if not b >= 0:
         raise ValueError("b must be non-negative")
     if kind is BcKind.NO_SLIP:
-        root = math.sqrt(1.0 + 4.0 * b / 3.0)
-        denom = 1.0 + root if principal else 1.0 - root
-        return math.sqrt(2.0 / denom)
-    root = math.sqrt(1.0 + 10.0 * b / 3.0)
-    denom = 1.0 + root if principal else 1.0 - root
-    return 2.0 / denom
+        return math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * b / 3.0)))
+    return 2.0 / (1.0 + math.sqrt(1.0 + 10.0 * b / 3.0))
 
 
 def _munk_coefficients(kind):

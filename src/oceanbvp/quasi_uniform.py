@@ -10,7 +10,6 @@ frozen to those of the penultimate interval to keep the coefficients from
 jumping.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +26,10 @@ class QuasiUniformGrid:
     J: int = 200
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
         if self.J < 3:
             raise ValueError("J must be at least 3")
-
-    def node(self, j):
-        """Coordinate of integer node j; node(J) is +inf, a tag that must
-        never enter scheme arithmetic."""
-        if not 0 <= j <= self.J:
-            raise IndexError(f"node index {j} outside 0..{self.J}")
-        if j == self.J:
-            return math.inf
-        return self.fractional_node(float(j))
 
     def fractional_node(self, position):
         """xi at grid positions j + alpha (reals or an array, < J); finite
@@ -91,17 +81,19 @@ def default_initial_guess(J):
     return U
 
 
-def solve_qug(c, J, params, kind, tol=1e-6, max_iter=100, initial=None):
+def solve_qug(c, J, params, kind, tol=1e-6, initial=None):
     """Newton solve of the quasi-uniform scheme; beta is read at node 0 and
     the infinity-node state is reported separately from the finite nodes.
 
     ``initial`` is a full (J+1, 3) iterate with the infinity node last (see
     ``iterate_of``); by default the constant guess is used.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     grid = QuasiUniformGrid(c=c, J=J)
     sys = build_system(params, kind, grid)
     U0 = default_initial_guess(J) if initial is None else initial
-    U, report = blocksolve.newton_solve(sys, U0, tol, max_iter=max_iter)
+    U, report = blocksolve.newton_solve(sys, U0, tol)
     sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1].copy(),
                        beta=U[0, model.missing_slot(kind)],
                        kind=kind, params=params,

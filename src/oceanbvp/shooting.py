@@ -15,6 +15,7 @@ from . import ivp, model
 from .model import BcKind, MeshSolution, ModelParams
 
 DENSE_SAMPLES = 200
+MAX_ITERATIONS = 50
 
 
 class ShootingError(Exception):
@@ -43,10 +44,9 @@ class ShootingProblem:
     xi_infinity: float = 10.0
     tol: float = 1e-6
     ivp_opts: ivp.IvpOptions = ivp.IvpOptions()
-    max_iterations: int = 50
 
     def __post_init__(self):
-        if self.xi_infinity <= 0 or self.tol <= 0:
+        if not (self.xi_infinity > 0 and self.tol > 0):
             raise ValueError("xi_infinity and tol must be positive")
 
 
@@ -86,14 +86,6 @@ def _integrate(prob, rhs, y0, beta, stats):
         raise
     stats.add(st)
     return y
-
-
-def shoot_residual(beta, prob):
-    """F(beta) = u1(xi_infinity; beta) - 1."""
-    stats = ivp.IvpStats()
-    y = _integrate(prob, _rhs3(prob), model.bc_initial(prob.kind, beta),
-                   beta, stats)
-    return y[0] - 1.0
 
 
 def _converged(beta, beta_prev, F, tol):
@@ -137,7 +129,7 @@ def solve_secant(beta0, beta1, prob):
 
     b_prev, b_cur = beta0, beta1
     f_prev, f_cur = F(beta0), F(beta1)
-    for it in range(1, prob.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if abs(f_cur - f_prev) < 1e-14:
             raise DegenerateSecant(
                 f"|F({b_cur:.8g}) - F({b_prev:.8g})| < 1e-14")
@@ -150,7 +142,7 @@ def solve_secant(beta0, beta1, prob):
                                   residual=abs(f_cur),
                                   trajectory=_dense_trajectory(b_cur, prob),
                                   stats=stats)
-    raise MaxIterations("secant", prob.max_iterations, b_cur)
+    raise MaxIterations("secant", MAX_ITERATIONS, b_cur)
 
 
 def solve_newton(beta0, prob):
@@ -160,7 +152,7 @@ def solve_newton(beta0, prob):
     rhs = _rhs6(prob)
     beta = beta0
     beta_prev = None
-    for it in range(prob.max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         y0 = np.concatenate([model.bc_initial(prob.kind, beta),
                              model.sensitivity_initial(prob.kind)])
         y = _integrate(prob, rhs, y0, beta, stats)
@@ -174,4 +166,4 @@ def solve_newton(beta0, prob):
             raise SingularDerivative(f"|F'({beta:.8g})| = {abs(dF):.3g}")
         beta_prev = beta
         beta = beta - F / dF
-    raise MaxIterations("newton", prob.max_iterations, beta)
+    raise MaxIterations("newton", MAX_ITERATIONS, beta)

@@ -1,0 +1,61 @@
+"""The public surface of the package: its names, the settable fields of
+its problem and result types, and the checks on values entering them.
+
+A new export or option shows up here as a test diff."""
+
+import math
+from dataclasses import fields
+
+import pytest
+
+import oceanbvp
+from oceanbvp import (FbfProblem, IvpOptions, IvpStats, QuasiUniformGrid,
+                      ShootingProblem, ShootingResult, approx_missing_init,
+                      solve_qug)
+from oceanbvp.blocksolve import NewtonReport
+from oceanbvp.model import BcKind, ModelParams
+
+
+def test_exports_are_pinned():
+    assert oceanbvp.__all__ == [
+        "BcKind", "MeshSolution", "ModelParams", "approx_missing_init",
+        "bc_initial", "munk_exact", "rhs", "rhs_jacobian", "rhs_variational",
+        "IvpOptions", "IvpStats", "integrate",
+        "ShootingProblem", "ShootingResult", "solve_newton", "solve_secant",
+        "FbfProblem", "continuation_solve", "solve_fbf",
+        "QuasiUniformGrid", "solve_qug",
+    ]
+
+
+@pytest.mark.parametrize("cls, names", [
+    (ShootingProblem, ["params", "kind", "xi_infinity", "tol", "ivp_opts"]),
+    (FbfProblem, ["params", "kind", "eps", "J", "tol"]),
+    (QuasiUniformGrid, ["c", "J"]),
+    (IvpOptions, ["rel_tol", "abs_tol", "max_steps"]),
+    (IvpStats, ["accepted_steps", "rejected_steps", "rhs_evaluations"]),
+    (NewtonReport, ["iterations", "final_update_norm"]),
+    (ShootingResult, ["beta", "iterations", "residual", "trajectory",
+                      "stats"]),
+])
+def test_dataclass_fields_are_pinned(cls, names):
+    assert [f.name for f in fields(cls)] == names
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ShootingProblem(xi_infinity=NAN),
+    lambda: ShootingProblem(tol=NAN),
+    lambda: FbfProblem(tol=NAN),
+    lambda: QuasiUniformGrid(c=NAN),
+    lambda: IvpOptions(rel_tol=NAN),
+    lambda: IvpOptions(abs_tol=NAN),
+    lambda: approx_missing_init(BcKind.SLIP, NAN),
+    lambda: solve_qug(5.0, 20, ModelParams(2.0), BcKind.SLIP, tol=NAN),
+    lambda: solve_qug(5.0, 20, ModelParams(2.0), BcKind.SLIP, tol=0.0),
+], ids=["shoot-xi-inf", "shoot-tol", "fbf-tol", "qug-c", "ivp-rel-tol",
+        "ivp-abs-tol", "approx-b", "qug-tol-nan", "qug-tol-zero"])
+def test_nan_is_rejected_where_it_enters(make):
+    with pytest.raises(ValueError):
+        make()

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -110,6 +111,17 @@ class TestSolve:
         code, _, err = run(capsys, "solve", *argv)
         assert code == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "shoot-newton", "--beta0", "nan"],
+        ["--method", "shoot-secant", "--beta0", "1", "--beta1", "inf"],
+    ])
+    def test_non_finite_seed_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "solve", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "initial state must be finite" in err
 
     def test_solver_failure_is_exit_one(self, capsys):
         code, _, err = run(capsys, "solve", "--method", "shoot-secant",

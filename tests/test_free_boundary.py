@@ -6,6 +6,7 @@ from oceanbvp.free_boundary import (FbfProblem, NegativeFreeBoundary,
                                     build_system, continuation_solve,
                                     default_initial_guess, solve_fbf)
 from oceanbvp.model import BcKind, ModelParams
+from oracles import check_jacobian, full_residual
 
 B0 = ModelParams(0.0)
 B2 = ModelParams(2.0)
@@ -38,7 +39,7 @@ class TestResidual:
             prob = FbfProblem(params=B2, kind=kind, eps=1e-2)
             V = np.column_stack([sol.u,
                                  np.full(prob.J + 1, sol.free_boundary)])
-            res = blocksolve.full_residual(build_system(prob), V)
+            res = full_residual(build_system(prob), V)
             assert np.mean(np.abs(res)) < 1e-8
 
     def test_constant_state_hand_evaluated(self):
@@ -48,7 +49,7 @@ class TestResidual:
         eps, L, J = 1e-2, 3.0, 5
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=eps, J=J)
         V = np.tile([1.0, eps, 0.0, L], (J + 1, 1))
-        res = blocksolve.full_residual(build_system(prob), V)
+        res = full_residual(build_system(prob), V)
         dz = 1.0 / J
         row = -dz * L * np.array([eps, 0.0, B2.b * eps**2, 0.0])
         np.testing.assert_allclose(res[:4 * J].reshape(J, 4),
@@ -60,7 +61,7 @@ class TestResidual:
         prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-2, J=2)
         rng = np.random.default_rng(11)
         V = rng.uniform(0.2, 1.5, (3, 4))
-        res = blocksolve.full_residual(build_system(prob), V)
+        res = full_residual(build_system(prob), V)
         for j in (1, 2):
             avg = 0.5 * (V[j] + V[j - 1])
             f = model.rhs(0.0, avg[:3], B2)
@@ -75,7 +76,7 @@ class TestResidual:
     def test_analytic_jacobian_matches_finite_differences(self):
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=12)
         sys = build_system(prob)
-        assert blocksolve.check_jacobian(sys, default_initial_guess(12)) \
+        assert check_jacobian(sys, default_initial_guess(12)) \
             < 1e-5
 
 
@@ -106,7 +107,7 @@ class TestSolve:
         sol, _ = fbf_b2[(BcKind.SLIP, 1e-3)]
         prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-3)
         V = np.column_stack([sol.u, np.full(prob.J + 1, sol.free_boundary)])
-        res = blocksolve.full_residual(build_system(prob), V)
+        res = full_residual(build_system(prob), V)
         assert np.mean(np.abs(res)) <= 10 * prob.tol
 
     def test_free_boundary_unknown_constant_across_nodes(self):

@@ -108,10 +108,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             IvpOptions(rel_tol=0.0)
 
-    def test_initial_step_override(self):
-        y, stats = ivp.integrate(decay, 0.0, 1.0, np.array([1.0]),
-                                 IvpOptions(initial_step=0.5))
-        assert abs(y[0] - math.exp(-1.0)) < 1e-2
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        # A non-finite error norm would reject every step until the step
+        # budget runs out; the call must fail before its first step.
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return decay(t, y)
+
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            ivp.integrate(rhs, 0.0, 1.0, [1.0, bad, 0.0])
+        assert calls == []
 
 
 class TestFloatState:

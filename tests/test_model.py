@@ -115,12 +115,6 @@ class TestApproxMissingInit:
             vals = [model.approx_missing_init(kind, b) for b in bs]
             assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
-    def test_secondary_branch_reported_but_distinct(self):
-        principal = model.approx_missing_init(BcKind.SLIP, 2.0)
-        other = model.approx_missing_init(BcKind.SLIP, 2.0, principal=False)
-        assert other != principal
-        assert other < 0  # negative denominator for b > 0
-
     def test_negative_b_rejected(self):
         with pytest.raises(ValueError):
             model.approx_missing_init(BcKind.SLIP, -0.1)
@@ -170,10 +164,6 @@ class TestMunkExact:
 
 
 class TestModelParams:
-    def test_from_physical(self):
-        p = ModelParams.from_physical(gamma=1e-3, kappa=1e-3)
-        assert p.b == pytest.approx(math.pi * (1e-3 / 1e-6) ** (1 / 3))
-
     def test_rejects_negative_b(self):
         with pytest.raises(ValueError):
             ModelParams(-1.0)

@@ -7,6 +7,7 @@ from oceanbvp import blocksolve, model
 from oceanbvp.model import BcKind, ModelParams
 from oceanbvp.quasi_uniform import (QuasiUniformGrid, build_system,
                                     default_initial_guess, solve_qug)
+from oracles import check_jacobian, full_residual
 
 B2 = ModelParams(2.0)
 
@@ -14,15 +15,16 @@ B2 = ModelParams(2.0)
 class TestGrid:
     def test_basic_nodes(self):
         g = QuasiUniformGrid(c=5.0, J=200)
-        assert g.node(0) == 0.0
-        assert g.node(199) == pytest.approx(5.0 * math.log(200), rel=1e-12)
-        assert g.node(200) == math.inf
+        xs = g.finite_nodes()
+        assert len(xs) == 200  # the infinity node is not among them
+        assert xs[0] == 0.0
+        assert xs[199] == pytest.approx(5.0 * math.log(200), rel=1e-12)
 
     def test_half_node_is_c_ln2(self):
         for c, J in [(5.0, 200), (2.0, 100)]:
             g = QuasiUniformGrid(c=c, J=J)
-            assert g.node(J // 2) == pytest.approx(c * math.log(2.0),
-                                                   rel=1e-13)
+            assert g.finite_nodes()[J // 2] == pytest.approx(
+                c * math.log(2.0), rel=1e-13)
 
     def test_last_half_fraction_finite(self):
         g = QuasiUniformGrid(c=5.0, J=200)
@@ -31,18 +33,12 @@ class TestGrid:
 
     def test_nodes_strictly_increasing(self):
         g = QuasiUniformGrid(c=5.0, J=50)
-        xs = [g.node(j) for j in range(50)]
-        assert all(x2 > x1 for x1, x2 in zip(xs, xs[1:]))
+        assert (np.diff(g.finite_nodes()) > 0).all()
 
     def test_fractional_node_rejects_eta_one(self):
         g = QuasiUniformGrid(c=5.0, J=10)
         with pytest.raises(AssertionError):
             g.fractional_node(10.0)
-
-    def test_node_index_bounds(self):
-        g = QuasiUniformGrid(c=5.0, J=10)
-        with pytest.raises(IndexError):
-            g.node(11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,7 +116,7 @@ class TestResidual:
         g = QuasiUniformGrid(c=5.0, J=20)
         U = np.tile([1.0, 0.0, 0.0], (21, 1))
         sys = build_system(B2, BcKind.NO_SLIP, g)
-        res = blocksolve.full_residual(sys, U)
+        res = full_residual(sys, U)
         np.testing.assert_array_equal(res[:60], 0.0)
         np.testing.assert_allclose(res[60:], [1.0, 0.0, 0.0])
 
@@ -129,14 +125,14 @@ class TestResidual:
             sol, _ = qug_b2[(kind, 200)]
             g = QuasiUniformGrid(c=5.0, J=200)
             U = np.vstack([sol.u, sol.infinity_state])
-            res = blocksolve.full_residual(build_system(B2, kind, g), U)
+            res = full_residual(build_system(B2, kind, g), U)
             assert np.mean(np.abs(res)) < 1e-8
 
     def test_coefficient_freeze_shrinks_last_interval_error(self, qug_b2):
         sol, _ = qug_b2[(BcKind.NO_SLIP, 200)]
         g = QuasiUniformGrid(c=5.0, J=200)
         U = np.vstack([sol.u, sol.infinity_state])
-        frozen = blocksolve.full_residual(
+        frozen = full_residual(
             build_system(B2, BcKind.NO_SLIP, g), U)
         # the literal weight on the infinity node of the last interval is 0
         j = np.arange(g.J)
@@ -147,7 +143,7 @@ class TestResidual:
             lambda V: model.rhs(0.0, V, B2),
             lambda V: model.rhs_jacobian(0.0, V, B2),
             *model.boundary_rows(BcKind.NO_SLIP, (1.0,)))
-        literal = blocksolve.full_residual(literal_sys, U)
+        literal = full_residual(literal_sys, U)
         j_last = slice(3 * (g.J - 1), 3 * g.J)
         assert np.max(np.abs(literal[j_last])) \
             > np.max(np.abs(frozen[j_last]))
@@ -155,7 +151,7 @@ class TestResidual:
     def test_analytic_jacobian_matches_finite_differences(self):
         g = QuasiUniformGrid(c=5.0, J=12)
         sys = build_system(B2, BcKind.SLIP, g)
-        assert blocksolve.check_jacobian(sys, default_initial_guess(12)) \
+        assert check_jacobian(sys, default_initial_guess(12)) \
             < 1e-5
 
 

