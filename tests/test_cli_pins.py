@@ -2,8 +2,9 @@
 
 The SHA-256 digests below are of the output as first recorded: the
 `solve --format json` report of each of the five methods, the relaxation
-rows of `tables`, one `profile` CSV and the `cli.sweep_b` rows of four
-methods over b = 0, 0.5, 1 for both boundary conditions.  A change to how
+rows of `tables`, two `profile` CSVs (free-boundary and Newton shooting)
+and the `cli.sweep_b` rows of four methods over b = 0, 0.5, 1 for both
+boundary conditions.  A change to how
 the command line dispatches to the solvers must reproduce every one of
 them.  The grids are small, so the whole module runs in a few seconds.
 """
@@ -46,6 +47,8 @@ PINS = {
         "ab3b14c9e6029836adb649dc9ae55c9ab2a6777aaa88c81c86ef87e9318e79ea",
     "profile":
         "1627d46e809412b71c6e7d2a833b48dcc7a96e679a3098cf03f40b9c0a1880a9",
+    "profile-shoot-newton":
+        "612c99ffc3a49ac6452262238ff7a3628227e2133b2ffb67fb3998842d008be6",
     "sweep:qug:no-slip":
         "63e84b060e4a1db740fe3b939780b661f3d1452cd5c5d2f9c38c0b8235e2e572",
     "sweep:qug:slip":
@@ -80,11 +83,14 @@ def _output(name):
     if name == "profile":
         return _main_output(["profile", "--method", "fbf", "--bc", "slip",
                              "--J", "100", "--eps", "1e-2"])
+    if name == "profile-shoot-newton":
+        return _main_output(["profile", "--method", "shoot-newton", "--bc",
+                             "slip", "--beta0", "0.8"])
     _, method, bc = name.split(":")
     return json.dumps(cli.sweep_b([0.0, 0.5, 1.0], method, BcKind(bc)))
 
 
-NAMES = [*SOLVE_ARGS, "tables", "profile",
+NAMES = [*SOLVE_ARGS, "tables", "profile", "profile-shoot-newton",
          *(f"sweep:{m}:{kind.value}" for m in SWEEP_METHODS for kind in BcKind)]
 
 
