@@ -29,7 +29,7 @@ from .blocksolve import NewtonError
 from .free_boundary import FbfProblem
 from .ivp import IntegrationError
 from .model import BcKind, ModelParams, approx_missing_init
-from .shooting import ShootingError, ShootingProblem
+from .shooting import ShootingError, ShootingProblem, ShootingResult
 
 COMPARISON_HEADER = ["method", "boundary", "gridpoints", "iterations", "beta"]
 PROFILE_HEADER = ["xi", "u", "du", "d2u"]
@@ -45,15 +45,17 @@ class ConfigError(Exception):
 
 # Each solve function takes (kind, b, options, warm), where ``warm`` is a
 # converged solution of the same method to start from or None, and returns
-# (report fields, solution).  Solvers are looked up in their modules at
-# call time, so a patched or traced solver is the one that runs.
+# (report fields, solution).  A shooting solution is the ShootingResult,
+# whose profile is integrated only if ``profile`` reads it.  Solvers are
+# looked up in their modules at call time, so a patched or traced solver
+# is the one that runs.
 
 def _shoot(kind, b, o, solve):
     res = solve(ShootingProblem(params=ModelParams(b=b), kind=kind,
                                 xi_infinity=o["xi_inf"], tol=o["tol"]))
     return {"beta": res.beta, "boundary": o["xi_inf"],
             "iterations": res.iterations, "residual": res.residual,
-            "ivp_stats": asdict(res.stats)}, res.trajectory
+            "ivp_stats": asdict(res.stats)}, res
 
 
 def _secant(kind, b, o, warm):
@@ -345,6 +347,8 @@ def main(argv=None):
             if args.command == "solve":
                 _emit_report(report, args.format, buffer)
             else:
+                if isinstance(solution, ShootingResult):
+                    solution = solution.trajectory
                 emit_profiles(solution, buffer)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

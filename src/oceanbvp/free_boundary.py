@@ -9,6 +9,7 @@ boundary out; a continuation driver warm-starts each solve from the
 previous one.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class FbfProblem:
             raise ValueError("eps must lie in (0, 1)")
         if self.J < 2:
             raise ValueError("J must be at least 2")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 def default_initial_guess(J):

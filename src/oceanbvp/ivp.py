@@ -60,8 +60,8 @@ class IvpOptions:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -144,11 +144,12 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     it exactly, and the step size and FSAL slope carry on across points.
 
     Local error per step is held below abs_tol + rel_tol*|y| in the RMS
-    norm; the third-order solution is propagated.  A non-finite ``y0``
-    is a ValueError: its error norm would reject every step.
+    norm; the third-order solution is propagated.  A non-finite ``y0``,
+    ``t0`` or ``t_end`` is a ValueError: the error norm would reject every
+    step, or the steps would never reach t_end.
     """
-    if not t_end > t0:
-        raise ValueError("t_end must exceed t0")
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError("t0 and t_end must be finite, t_end above t0")
     samples = [t_end] if t_eval is None else _sample_points(t_eval, t0,
                                                             t_end)
     rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps

@@ -10,6 +10,7 @@ frozen to those of the penultimate interval to keep the coefficients from
 jumping.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class QuasiUniformGrid:
     J: int = 200
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.J < 3:
             raise ValueError("J must be at least 3")
 
@@ -88,8 +89,8 @@ def solve_qug(c, J, params, kind, tol=1e-6, initial=None):
     ``initial`` is a full (J+1, 3) iterate with the infinity node last (see
     ``iterate_of``); by default the constant guess is used.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     grid = QuasiUniformGrid(c=c, J=J)
     sys = build_system(params, kind, grid)
     U0 = default_initial_guess(J) if initial is None else initial

@@ -7,7 +7,9 @@ secant method on the three-equation system or by Newton's method on the
 six-equation variational system, where F'(beta) = u4(xi_infinity; beta).
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,17 +48,25 @@ class ShootingProblem:
     ivp_opts: ivp.IvpOptions = ivp.IvpOptions()
 
     def __post_init__(self):
-        if not (self.xi_infinity > 0 and self.tol > 0):
-            raise ValueError("xi_infinity and tol must be positive")
+        if not (0 < self.xi_infinity < math.inf and 0 < self.tol < math.inf):
+            raise ValueError("xi_infinity and tol must be positive and "
+                             "finite")
 
 
 @dataclass
 class ShootingResult:
+    """A converged root.  ``stats`` counts the root-finding integrations
+    only; ``trajectory``, the dense profile at ``beta``, is integrated on
+    its first read and kept."""
     beta: float
     iterations: int
     residual: float
-    trajectory: MeshSolution
+    problem: ShootingProblem
     stats: ivp.IvpStats
+
+    @cached_property
+    def trajectory(self):
+        return _dense_trajectory(self.beta, self.problem)
 
 
 def _rhs3(prob):
@@ -139,8 +149,7 @@ def solve_secant(beta0, beta1, prob):
         f_cur = F(b_cur)
         if _converged(b_cur, b_prev, f_cur, prob.tol):
             return ShootingResult(beta=b_cur, iterations=it,
-                                  residual=abs(f_cur),
-                                  trajectory=_dense_trajectory(b_cur, prob),
+                                  residual=abs(f_cur), problem=prob,
                                   stats=stats)
     raise MaxIterations("secant", MAX_ITERATIONS, b_cur)
 
@@ -159,8 +168,7 @@ def solve_newton(beta0, prob):
         F, dF = y[0] - 1.0, y[3]
         if beta_prev is not None and _converged(beta, beta_prev, F, prob.tol):
             return ShootingResult(beta=beta, iterations=it,
-                                  residual=abs(F),
-                                  trajectory=_dense_trajectory(beta, prob),
+                                  residual=abs(F), problem=prob,
                                   stats=stats)
         if abs(dF) < 1e-14:
             raise SingularDerivative(f"|F'({beta:.8g})| = {abs(dF):.3g}")

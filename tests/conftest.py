@@ -1,4 +1,5 @@
-"""Session-scoped solver runs shared between the unit and acceptance tests.
+"""Session-scoped solver runs shared between the unit and acceptance tests,
+and a spy on the shooting profile's integrations.
 
 The shooting runs at b = 2 are the expensive ones (the secant seed at
 beta = 2 alone costs ~3e5 RHS evaluations), so each configuration is
@@ -8,13 +9,30 @@ solved once per session.
 import numpy as np
 import pytest
 
-from oceanbvp import (FbfProblem, ShootingProblem, continuation_solve,
-                      solve_fbf, solve_newton, solve_qug, solve_secant)
+from oceanbvp import (FbfProblem, ShootingProblem, continuation_solve, ivp,
+                      shooting, solve_fbf, solve_newton, solve_qug,
+                      solve_secant)
 from oceanbvp.benchmarks import SHOOTING_SEEDS
 from oceanbvp.model import BcKind, ModelParams
 
 B2 = ModelParams(2.0)
 EPS_SEQUENCE = [1e-2, 1e-3, 1e-4, 1e-5]
+
+
+@pytest.fixture
+def dense_integrations(monkeypatch):
+    """A list that gains one entry per ``ivp.integrate`` call made with the
+    shooting profile's options, ``shooting._DENSE_OPTS``."""
+    calls = []
+    integrate = ivp.integrate
+
+    def spy(rhs, t0, t_end, y0, opts=ivp.IvpOptions(), **kwargs):
+        if opts is shooting._DENSE_OPTS:
+            calls.append((t0, t_end))
+        return integrate(rhs, t0, t_end, y0, opts, **kwargs)
+
+    monkeypatch.setattr(ivp, "integrate", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """The public surface of the package: its names, the settable fields of
 its problem and result types, and the checks on values entering them.
 
-A new export or option shows up here as a test diff."""
+A new export or option shows up here as a test diff.  Non-finite values
+(NaN and infinity) are rejected where they enter."""
 
 import math
 from dataclasses import fields
@@ -11,7 +12,7 @@ import pytest
 import oceanbvp
 from oceanbvp import (FbfProblem, IvpOptions, IvpStats, QuasiUniformGrid,
                       ShootingProblem, ShootingResult, approx_missing_init,
-                      solve_qug)
+                      integrate, solve_newton, solve_qug)
 from oceanbvp.blocksolve import NewtonReport
 from oceanbvp.model import BcKind, ModelParams
 
@@ -34,14 +35,21 @@ def test_exports_are_pinned():
     (IvpOptions, ["rel_tol", "abs_tol", "max_steps"]),
     (IvpStats, ["accepted_steps", "rejected_steps", "rhs_evaluations"]),
     (NewtonReport, ["iterations", "final_update_norm"]),
-    (ShootingResult, ["beta", "iterations", "residual", "trajectory",
-                      "stats"]),
+    (ShootingResult, ["beta", "iterations", "residual", "problem", "stats"]),
 ])
 def test_dataclass_fields_are_pinned(cls, names):
     assert [f.name for f in fields(cls)] == names
 
 
+def test_shooting_trajectory_is_still_readable():
+    # no longer a field: the profile is integrated on first read
+    res = solve_newton(0.9, ShootingProblem(params=ModelParams(0.0)))
+    assert res.trajectory.beta == res.beta
+    assert res.trajectory.u.shape == (len(res.trajectory.xi), 3)
+
+
 NAN = math.nan
+INF = math.inf
 
 
 @pytest.mark.parametrize("make", [
@@ -54,8 +62,19 @@ NAN = math.nan
     lambda: approx_missing_init(BcKind.SLIP, NAN),
     lambda: solve_qug(5.0, 20, ModelParams(2.0), BcKind.SLIP, tol=NAN),
     lambda: solve_qug(5.0, 20, ModelParams(2.0), BcKind.SLIP, tol=0.0),
+    lambda: ShootingProblem(xi_infinity=INF),
+    lambda: ShootingProblem(tol=INF),
+    lambda: FbfProblem(tol=INF),
+    lambda: QuasiUniformGrid(c=INF),
+    lambda: IvpOptions(rel_tol=INF),
+    lambda: IvpOptions(abs_tol=INF),
+    lambda: solve_qug(5.0, 20, ModelParams(2.0), BcKind.SLIP, tol=INF),
+    lambda: integrate(lambda t, y: y, 0.0, INF, [1.0]),
 ], ids=["shoot-xi-inf", "shoot-tol", "fbf-tol", "qug-c", "ivp-rel-tol",
-        "ivp-abs-tol", "approx-b", "qug-tol-nan", "qug-tol-zero"])
+        "ivp-abs-tol", "approx-b", "qug-tol-nan", "qug-tol-zero",
+        "shoot-xi-inf-infinite", "shoot-tol-infinite", "fbf-tol-infinite",
+        "qug-c-infinite", "ivp-rel-tol-infinite", "ivp-abs-tol-infinite",
+        "qug-tol-infinite", "ivp-t-end-infinite"])
 def test_nan_is_rejected_where_it_enters(make):
     with pytest.raises(ValueError):
         make()

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -111,6 +112,26 @@ class TestSolve:
         code, _, err = run(capsys, "solve", *argv)
         assert code == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "shoot-newton", "--beta0", "1", "--xi-inf", "inf"],
+         "xi_infinity and tol must be"),
+        (["--method", "shoot-newton", "--beta0", "1", "--tol", "inf"],
+         "xi_infinity and tol must be"),
+        (["--method", "fbf", "--tol", "inf"], "tol must be"),
+        (["--method", "qug", "--tol", "inf"], "tol must be"),
+        (["--method", "qug", "--c", "inf"], "c must be"),
+    ])
+    def test_infinite_value_fails_fast_without_warning(self, capsys, argv,
+                                                        message):
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "solve", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert message in err
+        assert caught == []
 
     @pytest.mark.parametrize("argv", [
         ["--method", "shoot-newton", "--beta0", "nan"],
@@ -229,6 +250,11 @@ class TestSweep:
             parser.parse_args(["sweep", "--method", "fbf-continuation"])
         assert exc.value.code == 2
 
+    def test_shooting_sweep_integrates_no_profile(self, dense_integrations):
+        rows = cli.sweep_b([0.0, 0.5, 1.0], "shoot-newton", BcKind.SLIP)
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert dense_integrations == []
+
     def test_non_solver_exception_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("not a solver failure")
@@ -262,6 +288,16 @@ class TestProfile:
         assert float(rows[1][0]) == 0.0
         assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-8)
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("command, integrations", [("solve", 0),
+                                                    ("profile", 1)])
+def test_only_profile_integrates_the_shooting_profile(
+        capsys, dense_integrations, command, integrations):
+    code, _, _ = run(capsys, command, "--method", "shoot-newton", "--bc",
+                     "slip", "--beta0", "0.8")
+    assert code == 0
+    assert len(dense_integrations) == integrations
 
 
 class TestTables:

@@ -91,6 +91,26 @@ class TestSecant:
         assert u1[-1] == pytest.approx(1.0, abs=1e-4)
 
 
+class TestLazyTrajectory:
+    @pytest.mark.parametrize("solve", [
+        lambda prob: shooting.solve_newton(0.9, prob),
+        lambda prob: shooting.solve_secant(0.9, 1.1, prob),
+    ], ids=["newton", "secant"])
+    def test_profile_is_integrated_once_on_first_read(self,
+                                                      dense_integrations,
+                                                      solve):
+        prob = ShootingProblem(params=B0, kind=BcKind.SLIP)
+        res = solve(prob)
+        assert dense_integrations == []
+        traj = res.trajectory
+        assert len(dense_integrations) == 1
+        assert res.trajectory is traj
+        assert len(dense_integrations) == 1
+        ref = shooting._dense_trajectory(res.beta, prob)
+        assert np.array_equal(traj.xi, ref.xi)
+        assert np.array_equal(traj.u, ref.u)
+
+
 class TestNewton:
     def test_no_slip_b2(self, newton_b2):
         res = newton_b2[BcKind.NO_SLIP]
