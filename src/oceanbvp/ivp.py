@@ -7,9 +7,11 @@ and step-factor clamp [0.2, 5].  Accounting (accepted/rejected steps,
 evaluations) is reported so shooting costs can be compared.
 
 The states of shooting have three or six components, so the state is a
-tuple of Python floats and every stage is a comprehension: on vectors
-this small, per-call numpy overhead would cost several times the
-arithmetic.
+tuple of Python floats: on vectors this small, per-call numpy overhead
+would cost several times the arithmetic.  A three-component state takes
+an unrolled step on scalar locals; every other length takes the tuple
+step ``step_bs23``, whose stages are comprehensions.  Both do the same
+floating-point operations in the same order, so they give the same bits.
 """
 
 import math
@@ -85,6 +87,9 @@ def step_bs23(rhs, t, y, h, f_start=None):
     solutions as tuples.  The final slope is f at the third-order solution
     and can be reused as ``f_start`` of the next step (FSAL); when
     ``f_start`` is omitted it is computed here, adding one evaluation.
+    A slope of another length than ``y`` is a ValueError, raised by the
+    one strict ``zip`` over all four slopes: a keyword argument takes
+    ``zip`` off its fast call path, so the other zips are left plain.
     """
     nev = 3
     if f_start is None:
@@ -101,8 +106,71 @@ def step_bs23(rhs, t, y, h, f_start=None):
     k4 = rhs(t + h, y3)
     y2 = tuple([v + h * ((7.0 / 24.0) * d1 + 0.25 * d2 + (1.0 / 3.0) * d3
                          + 0.125 * d4)
-                for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+                for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4, strict=True)])
     return y2, y3, nev, k4
+
+
+def _attempt(rhs, t, y, h, f, abs_tol, rel_tol):
+    """One attempted step of any length from (t, y) with slope f.
+
+    Returns (third-order solution, its slope, RMS error norm, largest
+    |component| of the solution).  The error of each component is scaled
+    by abs_tol + rel_tol * max(|y|, |y3|).
+    """
+    y2, y3, _, f3 = step_bs23(rhs, t, y, h, f)
+    acc = mag = 0.0
+    for v, lo, hi in zip(y, y2, y3):
+        a = abs(v)
+        b = abs(hi)
+        if b > mag:
+            mag = b
+        q = (hi - lo) / (abs_tol + rel_tol * (a if a >= b else b))
+        acc += q * q
+    return y3, f3, math.sqrt(acc / len(y)), mag
+
+
+def _attempt3(rhs, t, y, h, f, abs_tol, rel_tol):
+    """``_attempt`` unrolled for three components: the same operations in
+    the same order on scalar locals, so the same bits.  Unpacking raises
+    ValueError on a slope of any other length."""
+    y1, y2, y3 = y
+    k11, k12, k13 = f
+    a = 0.5 * h
+    k21, k22, k23 = rhs(t + a, (y1 + a * k11, y2 + a * k12, y3 + a * k13))
+    a = 0.75 * h
+    k31, k32, k33 = rhs(t + a, (y1 + a * k21, y2 + a * k22, y3 + a * k23))
+    hi1 = y1 + h * ((2.0 / 9.0) * k11 + (1.0 / 3.0) * k21
+                    + (4.0 / 9.0) * k31)
+    hi2 = y2 + h * ((2.0 / 9.0) * k12 + (1.0 / 3.0) * k22
+                    + (4.0 / 9.0) * k32)
+    hi3 = y3 + h * ((2.0 / 9.0) * k13 + (1.0 / 3.0) * k23
+                    + (4.0 / 9.0) * k33)
+    f3 = rhs(t + h, (hi1, hi2, hi3))
+    k41, k42, k43 = f3
+    lo1 = y1 + h * ((7.0 / 24.0) * k11 + 0.25 * k21 + (1.0 / 3.0) * k31
+                    + 0.125 * k41)
+    lo2 = y2 + h * ((7.0 / 24.0) * k12 + 0.25 * k22 + (1.0 / 3.0) * k32
+                    + 0.125 * k42)
+    lo3 = y3 + h * ((7.0 / 24.0) * k13 + 0.25 * k23 + (1.0 / 3.0) * k33
+                    + 0.125 * k43)
+    a = abs(y1)
+    b = abs(hi1)
+    mag = b if b > 0.0 else 0.0
+    q = (hi1 - lo1) / (abs_tol + rel_tol * (a if a >= b else b))
+    acc = 0.0 + q * q
+    a = abs(y2)
+    b = abs(hi2)
+    if b > mag:
+        mag = b
+    q = (hi2 - lo2) / (abs_tol + rel_tol * (a if a >= b else b))
+    acc += q * q
+    a = abs(y3)
+    b = abs(hi3)
+    if b > mag:
+        mag = b
+    q = (hi3 - lo3) / (abs_tol + rel_tol * (a if a >= b else b))
+    acc += q * q
+    return (hi1, hi2, hi3), f3, math.sqrt(acc / 3), mag
 
 
 def _first_step(y0, f0, t_span, opts):
@@ -146,7 +214,9 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     Local error per step is held below abs_tol + rel_tol*|y| in the RMS
     norm; the third-order solution is propagated.  A non-finite ``y0``,
     ``t0`` or ``t_end`` is a ValueError: the error norm would reject every
-    step, or the steps would never reach t_end.
+    step, or the steps would never reach t_end.  So is an ``rhs`` that
+    returns another number of components than ``y0`` has, raised in the
+    first step.
     """
     if not -math.inf < t0 < t_end < math.inf:
         raise ValueError("t0 and t_end must be finite, t_end above t0")
@@ -157,7 +227,7 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise ValueError(f"initial state must be finite, got {y}")
-    n = len(y)
+    attempt = _attempt3 if len(y) == 3 else _attempt
     f = rhs(t, y)
     nev = 1
     accepted = rejected = 0
@@ -170,17 +240,8 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
             landing = h >= t_next - t
             if landing:
                 h = t_next - t
-            y2, y3, k, f3 = step_bs23(rhs, t, y, h, f)
-            nev += k
-            acc = mag = 0.0
-            for v, lo, hi in zip(y, y2, y3):
-                a = abs(v)
-                b = abs(hi)
-                if b > mag:
-                    mag = b
-                q = (hi - lo) / (abs_tol + rel_tol * (a if a >= b else b))
-                acc += q * q
-            enorm = math.sqrt(acc / n)
+            y3, f3, enorm, mag = attempt(rhs, t, y, h, f, abs_tol, rel_tol)
+            nev += 3
             if enorm <= 1.0:
                 t = t_next if landing else t + h
                 y = y3

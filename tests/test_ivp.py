@@ -218,3 +218,80 @@ class TestSamplePoints:
     def test_rejects_bad_points(self, t_eval):
         with pytest.raises(ValueError):
             ivp.integrate(decay, 0.0, 1.0, [1.0], t_eval=t_eval)
+
+
+def _same(a, b):
+    # Equal bits up to NaN payloads: NaN compares equal to NaN.
+    a = list(a) if hasattr(a, "__len__") else [a]
+    b = list(b) if hasattr(b, "__len__") else [b]
+    return len(a) == len(b) and all(
+        x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+_P2 = ModelParams(2.0)
+_RHS3 = {"float-tuple": shooting._rhs3(shooting.ShootingProblem(params=_P2)),
+         "ndarray": lambda t, u: model.rhs(t, u, _P2)}
+
+
+class TestUnrolledStep:
+    def _assert_same(self, rhs, y, h, f):
+        tol = IvpOptions()
+        got = ivp._attempt3(rhs, 0.25, y, h, f, tol.abs_tol, tol.rel_tol)
+        ref = ivp._attempt(rhs, 0.25, y, h, f, tol.abs_tol, tol.rel_tol)
+        assert len(got) == len(ref) == 4
+        for g, r in zip(got, ref):
+            assert _same(g, r), (y, h, f, got, ref)
+
+    @pytest.mark.parametrize("kind", sorted(_RHS3))
+    def test_bit_identical_to_tuple_step(self, kind):
+        rng = np.random.default_rng(9)
+
+        def state():
+            mags = 10.0 ** rng.uniform(-3.0, 6.0, 3)
+            return tuple((rng.choice([-1.0, 1.0], 3) * mags).tolist())
+
+        for _ in range(50):
+            self._assert_same(_RHS3[kind], state(),
+                              float(10.0 ** rng.uniform(-4.0, 0.0)),
+                              state())
+
+    @pytest.mark.parametrize("kind", sorted(_RHS3))
+    @pytest.mark.parametrize("y", [(0.5, math.nan, -1.0),
+                                   (2.0 * ivp.OVERFLOW_LIMIT, 1.0, -1.0)],
+                             ids=["nan", "overflow"])
+    def test_bit_identical_on_nan_and_overflow(self, kind, y):
+        rhs = _RHS3[kind]
+        self._assert_same(rhs, y, 0.01, tuple(rhs(0.0, y)))
+
+    def test_sampled_integration_equals_generic_path(self, monkeypatch):
+        rhs = _RHS3["float-tuple"]
+        y0 = model.bc_initial(BcKind.SLIP, 0.53)
+        t_eval = np.linspace(0.0, 10.0, 41)[1:]
+        got = ivp.integrate(rhs, 0.0, 10.0, y0, t_eval=t_eval)
+        monkeypatch.setattr(ivp, "_attempt3", ivp._attempt)
+        ref = ivp.integrate(rhs, 0.0, 10.0, y0, t_eval=t_eval)
+        np.testing.assert_array_equal(got[0], ref[0])
+        assert got[1] == ref[1]
+
+
+class TestRhsLength:
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_fails_before_first_step(self, n, extra):
+        # zip would truncate the state to the shorter of y and f.
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [0.0] * (n + extra)
+
+        with pytest.raises(ValueError):
+            ivp.integrate(rhs, 0.0, 1.0, [1.0] * n)
+        # the start-up evaluation and at most the three of the first step
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_tuple_step_rejects_wrong_length(self, extra):
+        with pytest.raises(ValueError):
+            ivp.step_bs23(lambda t, u: [0.0] * (4 + extra), 0.0,
+                          (1.0, 2.0, 3.0, 4.0), 0.1)
