@@ -87,9 +87,7 @@ def step_bs23(rhs, t, y, h, f_start=None):
     solutions as tuples.  The final slope is f at the third-order solution
     and can be reused as ``f_start`` of the next step (FSAL); when
     ``f_start`` is omitted it is computed here, adding one evaluation.
-    A slope of another length than ``y`` is a ValueError, raised by the
-    one strict ``zip`` over all four slopes: a keyword argument takes
-    ``zip`` off its fast call path, so the other zips are left plain.
+    A slope of another length than ``y`` is a ValueError.
     """
     nev = 3
     if f_start is None:
@@ -104,6 +102,9 @@ def step_bs23(rhs, t, y, h, f_start=None):
                          + (4.0 / 9.0) * d3)
                 for v, d1, d2, d3 in zip(y, k1, k2, k3)])
     k4 = rhs(t + h, y3)
+    # One strict zip checks the length of every slope.  The keyword takes
+    # zip off its fast call path (about 0.4 us a call on CPython 3.11), so
+    # the other zips stay plain.
     y2 = tuple([v + h * ((7.0 / 24.0) * d1 + 0.25 * d2 + (1.0 / 3.0) * d3
                          + 0.125 * d4)
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4, strict=True)])
