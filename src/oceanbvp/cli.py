@@ -12,8 +12,10 @@ METHODS maps each method to the options it reads and the function that
 solves one configuration; an option the method does not read is a
 configuration error.
 
-Exit codes: 0 success, 1 solver failure or a value a solver rejects,
-2 a missing, stray or malformed option.
+Exit codes: 0 success; 1 a solver failure (ShootingError,
+IntegrationError, NewtonError) or an unwritable --out path; 2 a missing,
+stray or malformed option, or a value a constructor or solver rejects
+before solving (ValueError).
 """
 
 import argparse
@@ -37,7 +39,7 @@ SWEEP_HEADER = ["b", "beta_numeric", "beta_approx", "relative_gap", "status",
                 "error"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -79,7 +81,7 @@ def _fbf(kind, b, o, warm):
     if len(o["eps"]) != 1:
         raise ConfigError("method fbf takes one --eps value")
     prob = _fbf_problem(kind, b, o)
-    initial = None if warm is None else free_boundary.iterate_of(warm)
+    initial = None if warm is None else warm.iterate
     sol, rep = free_boundary.solve_fbf(prob, initial=initial)
     return {"beta": sol.beta, "boundary": sol.free_boundary, "eps": prob.eps,
             "gridpoints": prob.J, "iterations": rep.iterations,
@@ -88,12 +90,7 @@ def _fbf(kind, b, o, warm):
 
 def _fbf_continuation(kind, b, o, warm):
     eps = o["eps"]
-    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ConfigError("fbf-continuation needs strictly decreasing --eps")
-    results, err = free_boundary.continuation_solve(
-        _fbf_problem(kind, b, o), eps)
-    if err is not None:
-        raise err
+    results = free_boundary.continuation_solve(_fbf_problem(kind, b, o), eps)
     stages = [{"eps": e, "beta": s.beta, "boundary": s.free_boundary,
                "iterations": r.iterations} for e, (s, r) in zip(eps, results)]
     sol = results[-1][0]
@@ -104,7 +101,7 @@ def _fbf_continuation(kind, b, o, warm):
 
 
 def _qug(kind, b, o, warm):
-    initial = None if warm is None else quasi_uniform.iterate_of(warm)
+    initial = None if warm is None else warm.iterate
     sol, rep = quasi_uniform.solve_qug(o["c"], o["J"], ModelParams(b=b), kind,
                                        tol=o["tol"], initial=initial)
     return {"beta": sol.beta, "boundary": "inf", "gridpoints": o["J"],
@@ -350,10 +347,10 @@ def main(argv=None):
                 if isinstance(solution, ShootingResult):
                     solution = solution.trajectory
                 emit_profiles(solution, buffer)
-    except ConfigError as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SOLVER_ERRORS + (ValueError,) as err:
+    except SOLVER_ERRORS as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 1
     text = buffer.getvalue()

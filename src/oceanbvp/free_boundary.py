@@ -6,7 +6,7 @@ constant unknown and z = xi/u4 the problem lives on [0, 1], where it is
 discretized by the midpoint (box) scheme on a uniform z-grid and solved
 with the shared block Newton iteration.  Decreasing eps pushes the free
 boundary out; a continuation driver warm-starts each solve from the
-previous one.
+previous one's converged iterate.
 """
 
 import math
@@ -76,17 +76,16 @@ def build_system(prob):
 def _to_solution(V, prob):
     xi_eps = V[0, 3]
     z = np.linspace(0.0, 1.0, prob.J + 1)
-    return MeshSolution(xi=z * xi_eps, u=V[:, :3].copy(),
+    return MeshSolution(xi=z * xi_eps, u=V[:, :3],
                         beta=V[0, model.missing_slot(prob.kind)],
-                        kind=prob.kind, params=prob.params,
-                        free_boundary=xi_eps)
+                        free_boundary=xi_eps, iterate=V)
 
 
 def solve_fbf(prob, initial=None):
     """Solve one free-boundary problem; returns (MeshSolution, NewtonReport).
 
-    ``initial`` is a full (J+1, 4) iterate; by default the linear ramp
-    guess is used.
+    ``initial`` is a full (J+1, 4) iterate, such as the ``iterate`` of an
+    earlier solution; by default the linear ramp guess is used.
     """
     sys = build_system(prob)
     V0 = default_initial_guess(prob.J) if initial is None else initial
@@ -103,12 +102,11 @@ def solve_fbf(prob, initial=None):
 
 def continuation_solve(prob, eps_sequence):
     """Solve for a strictly decreasing sequence of eps values, each solve
-    warm-started from the previous converged state.
+    warm-started from the previous one's converged iterate.
 
-    Returns (results, error): ``results`` is the list of
-    (MeshSolution, NewtonReport) completed before any failure; ``error``
-    is None on full success, otherwise the exception that stopped the
-    sequence.
+    Returns the list of (MeshSolution, NewtonReport), one per eps.  A
+    failing stage raises its NewtonError, and later stages are not
+    attempted.
     """
     eps_sequence = list(eps_sequence)
     if any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
@@ -116,20 +114,11 @@ def continuation_solve(prob, eps_sequence):
     if any(not 0 < e < 1 for e in eps_sequence):
         raise ValueError("all eps values must lie in (0, 1)")
     results = []
-    state = None
+    initial = None
     for eps in eps_sequence:
         step = FbfProblem(params=prob.params, kind=prob.kind, eps=eps,
                           J=prob.J, tol=prob.tol)
-        try:
-            sol, report = solve_fbf(step, initial=state)
-        except blocksolve.NewtonError as err:  # report the completed prefix
-            return results, err
+        sol, report = solve_fbf(step, initial=initial)
         results.append((sol, report))
-        state = iterate_of(sol)
-    return results, None
-
-
-def iterate_of(sol):
-    """The full (J+1, 4) iterate behind a solution, to warm-start a solve:
-    the nodal states with the constant u4 = xi_eps appended."""
-    return np.column_stack([sol.u, np.full(len(sol.u), sol.free_boundary)])
+        initial = sol.iterate
+    return results

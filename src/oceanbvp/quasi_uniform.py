@@ -19,6 +19,16 @@ from . import blocksolve, model
 from .model import MeshSolution
 
 
+class NonPositiveBeta(blocksolve.NewtonError):
+    """Newton converged to beta <= 0.  The true beta is positive for every
+    b >= 0 and both boundary conditions (1 in the Munk limit b = 0,
+    decreasing with b), so the iterate is a spurious root of the scheme."""
+
+    def __init__(self, beta):
+        super().__init__(f"converged to non-positive beta ({beta:.6g})")
+        self.beta = beta
+
+
 @dataclass(frozen=True)
 class QuasiUniformGrid:
     """Logarithmic quasi-uniform grid with J intervals on [0, inf]."""
@@ -85,9 +95,11 @@ def default_initial_guess(J):
 def solve_qug(c, J, params, kind, tol=1e-6, initial=None):
     """Newton solve of the quasi-uniform scheme; beta is read at node 0 and
     the infinity-node state is reported separately from the finite nodes.
+    A converged beta that is not positive raises NonPositiveBeta.
 
-    ``initial`` is a full (J+1, 3) iterate with the infinity node last (see
-    ``iterate_of``); by default the constant guess is used.
+    ``initial`` is a full (J+1, 3) iterate with the infinity node last,
+    such as the ``iterate`` of an earlier solution; by default the constant
+    guess is used.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -95,13 +107,9 @@ def solve_qug(c, J, params, kind, tol=1e-6, initial=None):
     sys = build_system(params, kind, grid)
     U0 = default_initial_guess(J) if initial is None else initial
     U, report = blocksolve.newton_solve(sys, U0, tol)
-    sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1].copy(),
-                       beta=U[0, model.missing_slot(kind)],
-                       kind=kind, params=params,
-                       infinity_state=U[J].copy())
+    beta = U[0, model.missing_slot(kind)]
+    if not beta > 0.0:
+        raise NonPositiveBeta(beta)
+    sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1], beta=beta,
+                       infinity_state=U[J], iterate=U)
     return sol, report
-
-
-def iterate_of(sol):
-    """The full (J+1, 3) iterate behind a solution, to warm-start a solve."""
-    return np.vstack([sol.u, sol.infinity_state])

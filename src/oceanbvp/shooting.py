@@ -120,8 +120,7 @@ def _dense_trajectory(beta, prob):
     y0 = model.bc_initial(prob.kind, beta)
     u, _ = ivp.integrate(_rhs3(prob), 0.0, prob.xi_infinity, y0,
                          _DENSE_OPTS, t_eval=xi[1:])
-    return MeshSolution(xi=xi, u=np.vstack([y0, u]), beta=beta,
-                        kind=prob.kind, params=prob.params)
+    return MeshSolution(xi=xi, u=np.vstack([y0, u]), beta=beta)
 
 
 def solve_secant(beta0, beta1, prob):

@@ -74,14 +74,10 @@ def fbf_b2_j4000():
 
 @pytest.fixture(scope="session")
 def continuation_b2():
-    out = {}
-    for kind in BcKind:
-        results, err = continuation_solve(
-            FbfProblem(params=B2, kind=kind, eps=EPS_SEQUENCE[0]),
-            EPS_SEQUENCE)
-        assert err is None
-        out[kind] = results
-    return out
+    return {kind: continuation_solve(
+                FbfProblem(params=B2, kind=kind, eps=EPS_SEQUENCE[0]),
+                EPS_SEQUENCE)
+            for kind in BcKind}
 
 
 @pytest.fixture(scope="session")

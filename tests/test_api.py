@@ -10,9 +10,9 @@ from dataclasses import fields
 import pytest
 
 import oceanbvp
-from oceanbvp import (FbfProblem, IvpOptions, IvpStats, QuasiUniformGrid,
-                      ShootingProblem, ShootingResult, approx_missing_init,
-                      integrate, solve_newton, solve_qug)
+from oceanbvp import (FbfProblem, IvpOptions, IvpStats, MeshSolution,
+                      QuasiUniformGrid, ShootingProblem, ShootingResult,
+                      approx_missing_init, integrate, solve_newton, solve_qug)
 from oceanbvp.blocksolve import NewtonReport
 from oceanbvp.model import BcKind, ModelParams
 
@@ -36,6 +36,8 @@ def test_exports_are_pinned():
     (IvpStats, ["accepted_steps", "rejected_steps", "rhs_evaluations"]),
     (NewtonReport, ["iterations", "final_update_norm"]),
     (ShootingResult, ["beta", "iterations", "residual", "problem", "stats"]),
+    (MeshSolution, ["xi", "u", "beta", "free_boundary", "infinity_state",
+                    "iterate"]),
 ])
 def test_dataclass_fields_are_pinned(cls, names):
     assert [f.name for f in fields(cls)] == names

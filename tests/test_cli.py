@@ -110,7 +110,7 @@ class TestSolve:
     def test_zero_grid_values_reach_the_constructor(self, capsys, argv,
                                                     message):
         code, _, err = run(capsys, "solve", *argv)
-        assert code == 1
+        assert code == 2
         assert message in err
 
     @pytest.mark.parametrize("argv, message", [
@@ -129,7 +129,7 @@ class TestSolve:
             warnings.simplefilter("always")
             code, _, err = run(capsys, "solve", *argv)
         assert time.perf_counter() - start < 1.0
-        assert code == 1
+        assert code == 2
         assert message in err
         assert caught == []
 
@@ -141,14 +141,27 @@ class TestSolve:
         start = time.perf_counter()
         code, _, err = run(capsys, "solve", *argv)
         assert time.perf_counter() - start < 1.0
-        assert code == 1
+        assert code == 2
         assert "initial state must be finite" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "fbf", "--eps", "2"], "eps must lie in (0, 1)"),
+        (["--method", "shoot-secant", "--beta0", "1.0", "--beta1", "1.0"],
+         "secant seeds must differ"),
+    ])
+    def test_rejected_value_is_exit_two(self, capsys, argv, message):
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
+
     def test_solver_failure_is_exit_one(self, capsys):
-        code, _, err = run(capsys, "solve", "--method", "shoot-secant",
-                           "--beta0", "1.0", "--beta1", "1.0")
+        # cold QUG at slip, b = 50 converges to a negative beta
+        code, _, err = run(capsys, "solve", "--method", "qug", "--bc",
+                           "slip", "--b", "50")
         assert code == 1
-        assert "solver failure" in err
+        assert err.startswith("solver failure: ")
+        assert "non-positive beta" in err
 
     def test_non_solver_exception_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -39,6 +39,7 @@ class TestResidual:
             prob = FbfProblem(params=B2, kind=kind, eps=1e-2)
             V = np.column_stack([sol.u,
                                  np.full(prob.J + 1, sol.free_boundary)])
+            np.testing.assert_array_equal(sol.iterate, V)
             res = full_residual(build_system(prob), V)
             assert np.mean(np.abs(res)) < 1e-8
 
@@ -151,6 +152,14 @@ class TestSolve:
                                initial=V0)
             assert sol.beta == pytest.approx(1.0, abs=1e-4)
 
+    def test_restart_from_iterate_takes_one_iteration(self, fbf_b2):
+        for kind in BcKind:
+            sol, _ = fbf_b2[(kind, 1e-3)]
+            prob = FbfProblem(params=B2, kind=kind, eps=1e-3)
+            again, rep = solve_fbf(prob, initial=sol.iterate)
+            assert rep.iterations == 1
+            assert again.beta == pytest.approx(sol.beta, abs=1e-10)
+
     def test_negative_free_boundary_guard(self):
         guess = default_initial_guess(2000)
         guess[:, 3] = 1e-3
@@ -169,8 +178,7 @@ class TestContinuation:
 
     def test_single_element_matches_cold_solve(self, fbf_b2):
         prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-2)
-        results, err = continuation_solve(prob, [1e-2])
-        assert err is None
+        results = continuation_solve(prob, [1e-2])
         sol_cold, rep_cold = fbf_b2[(BcKind.SLIP, 1e-2)]
         sol, rep = results[0]
         assert rep.iterations == rep_cold.iterations
@@ -181,7 +189,7 @@ class TestContinuation:
         with pytest.raises(ValueError):
             continuation_solve(prob, [1e-3, 1e-2])
 
-    def test_failure_returns_prefix_and_error(self, monkeypatch):
+    def test_failing_stage_raises_and_stops(self, monkeypatch):
         real = free_boundary.solve_fbf
         calls = []
 
@@ -193,9 +201,8 @@ class TestContinuation:
 
         monkeypatch.setattr(free_boundary, "solve_fbf", flaky)
         prob = FbfProblem(params=B2, kind=BcKind.SLIP, eps=1e-2, J=200)
-        results, err = continuation_solve(prob, [1e-2, 1e-3, 1e-4])
-        assert isinstance(err, NegativeFreeBoundary)
-        assert len(results) == 1
+        with pytest.raises(NegativeFreeBoundary):
+            continuation_solve(prob, [1e-2, 1e-3, 1e-4])
         assert calls == [1e-2, 1e-3]
 
     def test_non_solver_exception_propagates(self, monkeypatch):

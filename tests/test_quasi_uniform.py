@@ -5,8 +5,9 @@ import pytest
 
 from oceanbvp import blocksolve, model
 from oceanbvp.model import BcKind, ModelParams
-from oceanbvp.quasi_uniform import (QuasiUniformGrid, build_system,
-                                    default_initial_guess, solve_qug)
+from oceanbvp.quasi_uniform import (NonPositiveBeta, QuasiUniformGrid,
+                                    build_system, default_initial_guess,
+                                    solve_qug)
 from oracles import check_jacobian, full_residual
 
 B2 = ModelParams(2.0)
@@ -125,6 +126,7 @@ class TestResidual:
             sol, _ = qug_b2[(kind, 200)]
             g = QuasiUniformGrid(c=5.0, J=200)
             U = np.vstack([sol.u, sol.infinity_state])
+            np.testing.assert_array_equal(sol.iterate, U)
             res = full_residual(build_system(B2, kind, g), U)
             assert np.mean(np.abs(res)) < 1e-8
 
@@ -200,3 +202,17 @@ class TestSolve:
         assert len(sol.xi) == 200
         assert np.isfinite(sol.xi).all()
         assert sol.xi[-1] == pytest.approx(5.0 * math.log(200), rel=1e-12)
+
+    def test_restart_from_iterate_takes_one_iteration(self, qug_b2):
+        for kind in BcKind:
+            sol, _ = qug_b2[(kind, 200)]
+            again, rep = solve_qug(5.0, 200, B2, kind, initial=sol.iterate)
+            assert rep.iterations == 1
+            assert again.beta == pytest.approx(sol.beta, abs=1e-10)
+
+    def test_cold_slip_large_b_raises_instead_of_negative_beta(self):
+        # the cold start converges to beta = -0.158; the true beta is
+        # positive for every b >= 0 (0.1369 along a warm-started sweep)
+        with pytest.raises(NonPositiveBeta) as exc:
+            solve_qug(5.0, 200, ModelParams(50.0), BcKind.SLIP)
+        assert exc.value.beta < 0
