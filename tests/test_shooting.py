@@ -143,6 +143,31 @@ class TestNewton:
             assert err.value.beta is not None
 
 
+class TestPublishedWorkCounts:
+    # Exact iterations and IvpStats of the four published shooting rows,
+    # from their published seeds at the default tolerances.  A faster
+    # kernel must take the same steps, so these must not move.
+    @pytest.mark.parametrize("kind,counts", [
+        (BcKind.NO_SLIP, (11, 109_087, 178, 327_808)),
+        (BcKind.SLIP, (12, 28_355, 199, 85_676)),
+    ])
+    def test_secant(self, secant_b2, kind, counts):
+        res = secant_b2[kind]
+        st = res.stats
+        assert (res.iterations, st.accepted_steps, st.rejected_steps,
+                st.rhs_evaluations) == counts
+
+    @pytest.mark.parametrize("kind,counts", [
+        (BcKind.NO_SLIP, (7, 1_473, 70, 4_637)),
+        (BcKind.SLIP, (8, 6_244, 95, 19_026)),
+    ])
+    def test_newton(self, newton_b2, kind, counts):
+        res = newton_b2[kind]
+        st = res.stats
+        assert (res.iterations, st.accepted_steps, st.rejected_steps,
+                st.rhs_evaluations) == counts
+
+
 class TestDerivative:
     @pytest.mark.parametrize("kind,lo,hi", [
         (BcKind.NO_SLIP, 0.82, 0.90),
