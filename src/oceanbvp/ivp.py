@@ -8,13 +8,16 @@ evaluations) is reported so shooting costs can be compared.
 
 The states of shooting have three or six components, so the state is a
 tuple of Python floats: on vectors this small, per-call numpy overhead
-would cost several times the arithmetic.  A three-component state takes
-an unrolled step on scalar locals; every other length takes the tuple
-step ``step_bs23``, whose stages are comprehensions.  Both do the same
-floating-point operations in the same order, so they give the same bits.
+would cost several times the arithmetic.  The three-component system is
+a scalar third-order ODE in companion form, ``ThirdOrder``, and runs in
+one fused loop on scalar locals that calls only its third slope
+component; every other rhs takes the tuple step ``step_bs23``, whose
+stages are comprehensions.  Both do the same floating-point operations
+in the same order, so they give the same bits.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +81,19 @@ class IvpStats:
         self.rhs_evaluations += other.rhs_evaluations
 
 
+@dataclass(frozen=True)
+class ThirdOrder:
+    """The companion form y' = (y2, y3, g(y1, y2, y3, p)) of a scalar
+    third-order ODE.  Called as ``rhs(t, y)`` it is an ordinary
+    right-hand side; ``integrate`` runs it in a loop of its own."""
+    g: Callable
+    p: float
+
+    def __call__(self, t, y):
+        y1, y2, y3 = y
+        return (y2, y3, self.g(y1, y2, y3, self.p))
+
+
 def step_bs23(rhs, t, y, h, f_start=None):
     """One embedded BS23 step of size h from (t, y).
 
@@ -130,50 +146,6 @@ def _attempt(rhs, t, y, h, f, abs_tol, rel_tol):
     return y3, f3, math.sqrt(acc / len(y)), mag
 
 
-def _attempt3(rhs, t, y, h, f, abs_tol, rel_tol):
-    """``_attempt`` unrolled for three components: the same operations in
-    the same order on scalar locals, so the same bits.  Unpacking raises
-    ValueError on a slope of any other length."""
-    y1, y2, y3 = y
-    k11, k12, k13 = f
-    a = 0.5 * h
-    k21, k22, k23 = rhs(t + a, (y1 + a * k11, y2 + a * k12, y3 + a * k13))
-    a = 0.75 * h
-    k31, k32, k33 = rhs(t + a, (y1 + a * k21, y2 + a * k22, y3 + a * k23))
-    hi1 = y1 + h * ((2.0 / 9.0) * k11 + (1.0 / 3.0) * k21
-                    + (4.0 / 9.0) * k31)
-    hi2 = y2 + h * ((2.0 / 9.0) * k12 + (1.0 / 3.0) * k22
-                    + (4.0 / 9.0) * k32)
-    hi3 = y3 + h * ((2.0 / 9.0) * k13 + (1.0 / 3.0) * k23
-                    + (4.0 / 9.0) * k33)
-    f3 = rhs(t + h, (hi1, hi2, hi3))
-    k41, k42, k43 = f3
-    lo1 = y1 + h * ((7.0 / 24.0) * k11 + 0.25 * k21 + (1.0 / 3.0) * k31
-                    + 0.125 * k41)
-    lo2 = y2 + h * ((7.0 / 24.0) * k12 + 0.25 * k22 + (1.0 / 3.0) * k32
-                    + 0.125 * k42)
-    lo3 = y3 + h * ((7.0 / 24.0) * k13 + 0.25 * k23 + (1.0 / 3.0) * k33
-                    + 0.125 * k43)
-    a = abs(y1)
-    b = abs(hi1)
-    mag = b if b > 0.0 else 0.0
-    q = (hi1 - lo1) / (abs_tol + rel_tol * (a if a >= b else b))
-    acc = 0.0 + q * q
-    a = abs(y2)
-    b = abs(hi2)
-    if b > mag:
-        mag = b
-    q = (hi2 - lo2) / (abs_tol + rel_tol * (a if a >= b else b))
-    acc += q * q
-    a = abs(y3)
-    b = abs(hi3)
-    if b > mag:
-        mag = b
-    q = (hi3 - lo3) / (abs_tol + rel_tol * (a if a >= b else b))
-    acc += q * q
-    return (hi1, hi2, hi3), f3, math.sqrt(acc / 3), mag
-
-
 def _first_step(y0, f0, t_span, opts):
     # One-evaluation heuristic: balance the scaled RMS norms of y0 and
     # f(y0).
@@ -217,7 +189,8 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     ``t0`` or ``t_end`` is a ValueError: the error norm would reject every
     step, or the steps would never reach t_end.  So is an ``rhs`` that
     returns another number of components than ``y0`` has, raised in the
-    first step.
+    first step, and a ``ThirdOrder`` with a ``y0`` of another length than
+    3, raised before it.
     """
     if not -math.inf < t0 < t_end < math.inf:
         raise ValueError("t0 and t_end must be finite, t_end above t0")
@@ -228,7 +201,9 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise ValueError(f"initial state must be finite, got {y}")
-    attempt = _attempt3 if len(y) == 3 else _attempt
+    if isinstance(rhs, ThirdOrder):
+        return _integrate_third_order(rhs, t, t_end, y, samples, opts,
+                                      t_eval is None)
     f = rhs(t, y)
     nev = 1
     accepted = rejected = 0
@@ -241,7 +216,7 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
             landing = h >= t_next - t
             if landing:
                 h = t_next - t
-            y3, f3, enorm, mag = attempt(rhs, t, y, h, f, abs_tol, rel_tol)
+            y3, f3, enorm, mag = _attempt(rhs, t, y, h, f, abs_tol, rel_tol)
             nev += 3
             if enorm <= 1.0:
                 t = t_next if landing else t + h
@@ -257,3 +232,77 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
         out.append(y)
     stats = IvpStats(accepted, rejected, nev)
     return np.array(out[-1] if t_eval is None else out), stats
+
+
+def _integrate_third_order(rhs, t, t_end, y, samples, opts, end_only):
+    """``integrate`` for a ThirdOrder: the loop above with ``_attempt`` on
+    scalar locals.  Slope components 1 and 2 are state components 2 and 3,
+    so only g is called, and the stage and FSAL slopes need no tuples.
+    The operations and their order are those of ``_attempt``, so the bits,
+    the counts and the exceptions are the same."""
+    y1, y2, y3 = y
+    g, p = rhs.g, rhs.p
+    rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
+    sqrt, limit = math.sqrt, OVERFLOW_LIMIT
+    f3 = g(y1, y2, y3, p)            # the slope at y is (y2, y3, f3)
+    nev = 1
+    accepted = rejected = 0
+    h = _first_step(y, (y2, y3, f3), t_end - t, opts)
+    out = []
+    for t_next in samples:
+        while t < t_next:
+            if accepted + rejected >= max_steps:
+                raise StepCountExceeded(t, max_steps)
+            landing = h >= t_next - t
+            if landing:
+                h = t_next - t
+            a = 0.5 * h
+            k21 = y2 + a * y3
+            k22 = y3 + a * f3
+            k23 = g(y1 + a * y2, k21, k22, p)
+            a = 0.75 * h
+            k31 = y2 + a * k22
+            k32 = y3 + a * k23
+            k33 = g(y1 + a * k21, k31, k32, p)
+            hi1 = y1 + h * ((2.0 / 9.0) * y2 + (1.0 / 3.0) * k21
+                            + (4.0 / 9.0) * k31)
+            hi2 = y2 + h * ((2.0 / 9.0) * y3 + (1.0 / 3.0) * k22
+                            + (4.0 / 9.0) * k32)
+            hi3 = y3 + h * ((2.0 / 9.0) * f3 + (1.0 / 3.0) * k23
+                            + (4.0 / 9.0) * k33)
+            k43 = g(hi1, hi2, hi3, p)
+            nev += 3
+            # The second-order solution, scaled error and RMS norm.
+            a = abs(y1)
+            b1 = abs(hi1)
+            q1 = (hi1 - (y1 + h * ((7.0 / 24.0) * y2 + 0.25 * k21
+                                   + (1.0 / 3.0) * k31 + 0.125 * hi2))) \
+                / (abs_tol + rel_tol * (a if a >= b1 else b1))
+            a = abs(y2)
+            b2 = abs(hi2)
+            q2 = (hi2 - (y2 + h * ((7.0 / 24.0) * y3 + 0.25 * k22
+                                   + (1.0 / 3.0) * k32 + 0.125 * hi3))) \
+                / (abs_tol + rel_tol * (a if a >= b2 else b2))
+            a = abs(y3)
+            b3 = abs(hi3)
+            q3 = (hi3 - (y3 + h * ((7.0 / 24.0) * f3 + 0.25 * k23
+                                   + (1.0 / 3.0) * k33 + 0.125 * k43))) \
+                / (abs_tol + rel_tol * (a if a >= b3 else b3))
+            enorm = sqrt((q1 * q1 + q2 * q2 + q3 * q3) / 3)
+            if enorm <= 1.0:
+                t = t_next if landing else t + h
+                y1, y2, y3, f3 = hi1, hi2, hi3, k43
+                accepted += 1
+                # A NaN or inf fails the norm, so b1..b3 are finite here
+                # and max is the magnitude of _attempt.
+                if b1 > limit or b2 > limit or b3 > limit:
+                    raise Overflow(t, max(b1, b2, b3))
+            else:
+                rejected += 1
+            # min(_FAC_MAX, max(_FAC_MIN, factor)), NaN giving _FAC_MIN
+            factor = _SAFETY * enorm ** (-1.0 / 3.0) if enorm > 0 else _FAC_MAX
+            h *= (_FAC_MAX if factor >= _FAC_MAX else
+                  factor if factor > _FAC_MIN else _FAC_MIN)
+        out.append((y1, y2, y3))
+    stats = IvpStats(accepted, rejected, nev)
+    return np.array(out[-1] if end_only else out), stats

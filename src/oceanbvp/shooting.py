@@ -70,15 +70,9 @@ class ShootingResult:
 
 
 def _rhs3(prob):
-    # Float RHS of the three-equation system, the integrator's state type.
-    b = prob.params.b
-    forcing = model.forcing
-
-    def rhs(t, y):
-        u1, u2, u3 = y
-        return (u2, u3, forcing(u1, u2, u3, b))
-
-    return rhs
+    # The three-equation system in companion form; only the forcing is
+    # evaluated per stage.
+    return ivp.ThirdOrder(model.forcing, prob.params.b)
 
 
 def _rhs6(prob):

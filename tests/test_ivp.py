@@ -220,58 +220,72 @@ class TestSamplePoints:
             ivp.integrate(decay, 0.0, 1.0, [1.0], t_eval=t_eval)
 
 
-def _same(a, b):
-    # Equal bits up to NaN payloads: NaN compares equal to NaN.
-    a = list(a) if hasattr(a, "__len__") else [a]
-    b = list(b) if hasattr(b, "__len__") else [b]
-    return len(a) == len(b) and all(
-        x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+def _outcome(rhs, y0, opts=IvpOptions(), t_eval=None):
+    # The end state and stats, or the exception with where it stopped.
+    try:
+        y, stats = ivp.integrate(rhs, 0.0, 10.0, y0, opts, t_eval=t_eval)
+    except ivp.IntegrationError as err:
+        return type(err), err.t, getattr(err, "magnitude", None), str(err)
+    return y.shape, y.tobytes(), stats
 
 
-_P2 = ModelParams(2.0)
-_RHS3 = {"float-tuple": shooting._rhs3(shooting.ShootingProblem(params=_P2)),
-         "ndarray": lambda t, u: model.rhs(t, u, _P2)}
+def _generic(rhs):
+    # A plain callable, so integrate takes the generic tuple step.
+    return lambda t, y: rhs(t, y)
 
 
-class TestUnrolledStep:
-    def _assert_same(self, rhs, y, h, f):
-        tol = IvpOptions()
-        got = ivp._attempt3(rhs, 0.25, y, h, f, tol.abs_tol, tol.rel_tol)
-        ref = ivp._attempt(rhs, 0.25, y, h, f, tol.abs_tol, tol.rel_tol)
-        assert len(got) == len(ref) == 4
-        for g, r in zip(got, ref):
-            assert _same(g, r), (y, h, f, got, ref)
+class TestThirdOrder:
+    @pytest.mark.parametrize("b", [0.0, 2.0, 8.0])
+    @pytest.mark.parametrize("kind", list(BcKind))
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-9])
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["end", "t_eval"])
+    def test_fused_loop_equals_generic_path(self, b, kind, rel_tol,
+                                            sampled):
+        rhs = ivp.ThirdOrder(model.forcing, b)
+        y0 = model.bc_initial(kind, model.approx_missing_init(kind, b))
+        opts = IvpOptions(rel_tol=rel_tol, abs_tol=1e-3 * rel_tol)
+        t_eval = np.linspace(0.0, 10.0, 41)[1:] if sampled else None
+        got = _outcome(rhs, y0, opts, t_eval)
+        assert got == _outcome(_generic(rhs), y0, opts, t_eval)
+        assert len(got) == 3    # no exception on this path
 
-    @pytest.mark.parametrize("kind", sorted(_RHS3))
-    def test_bit_identical_to_tuple_step(self, kind):
-        rng = np.random.default_rng(9)
+    @pytest.mark.parametrize("g,beta,max_steps,error", [
+        (model.forcing, 0.8, 1_000_000, Overflow),
+        (model.forcing, 2.0, 1000, StepCountExceeded),
+        (lambda u1, u2, u3, b: u1 - 1.0 if u1 < 0.1 else math.nan, 2.0,
+         1000, StepCountExceeded),
+    ], ids=["overflow", "step-budget", "nan-slope"])
+    def test_same_exception_at_same_point(self, g, beta, max_steps, error):
+        # b = 2, no-slip: below the root the profile overflows, far above
+        # it the integration spends its step budget.
+        rhs = ivp.ThirdOrder(g, 2.0)
+        y0 = model.bc_initial(BcKind.NO_SLIP, beta)
+        opts = IvpOptions(max_steps=max_steps)
+        got = _outcome(rhs, y0, opts)
+        assert got[0] is error
+        assert got == _outcome(_generic(rhs), y0, opts)
 
-        def state():
-            mags = 10.0 ** rng.uniform(-3.0, 6.0, 3)
-            return tuple((rng.choice([-1.0, 1.0], 3) * mags).tolist())
-
+    @pytest.mark.parametrize("b", [0.0, 2.0, 8.0])
+    def test_call_equals_model_rhs(self, b):
+        rhs = ivp.ThirdOrder(model.forcing, b)
+        rng = np.random.default_rng(11)
         for _ in range(50):
-            self._assert_same(_RHS3[kind], state(),
-                              float(10.0 ** rng.uniform(-4.0, 0.0)),
-                              state())
+            y = rng.uniform(-3.0, 3.0, 3)
+            np.testing.assert_array_equal(
+                rhs(0.5, tuple(y.tolist())), model.rhs(0.5, y, ModelParams(b)))
 
-    @pytest.mark.parametrize("kind", sorted(_RHS3))
-    @pytest.mark.parametrize("y", [(0.5, math.nan, -1.0),
-                                   (2.0 * ivp.OVERFLOW_LIMIT, 1.0, -1.0)],
-                             ids=["nan", "overflow"])
-    def test_bit_identical_on_nan_and_overflow(self, kind, y):
-        rhs = _RHS3[kind]
-        self._assert_same(rhs, y, 0.01, tuple(rhs(0.0, y)))
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_wrong_length_fails_before_first_step(self, n):
+        calls = []
 
-    def test_sampled_integration_equals_generic_path(self, monkeypatch):
-        rhs = _RHS3["float-tuple"]
-        y0 = model.bc_initial(BcKind.SLIP, 0.53)
-        t_eval = np.linspace(0.0, 10.0, 41)[1:]
-        got = ivp.integrate(rhs, 0.0, 10.0, y0, t_eval=t_eval)
-        monkeypatch.setattr(ivp, "_attempt3", ivp._attempt)
-        ref = ivp.integrate(rhs, 0.0, 10.0, y0, t_eval=t_eval)
-        np.testing.assert_array_equal(got[0], ref[0])
-        assert got[1] == ref[1]
+        def g(u1, u2, u3, b):
+            calls.append(u1)
+            return 0.0
+
+        with pytest.raises(ValueError):
+            ivp.integrate(ivp.ThirdOrder(g, 2.0), 0.0, 1.0, [1.0] * n)
+        assert calls == []
 
 
 class TestRhsLength:
