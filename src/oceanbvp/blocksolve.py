@@ -49,6 +49,16 @@ class NonFiniteIterate(NewtonError):
         self.iteration = iteration
 
 
+class NonPositiveBeta(NewtonError):
+    """Newton converged to beta <= 0.  The true beta is positive for every
+    b >= 0 and both boundary conditions (1 in the Munk limit b = 0,
+    decreasing with b), so the iterate is a spurious root of the scheme."""
+
+    def __init__(self, beta):
+        super().__init__(f"converged to non-positive beta ({beta:.6g})")
+        self.beta = beta
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """Nonlinear system in (J+1) nodes of m unknowns each.

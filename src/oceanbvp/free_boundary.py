@@ -85,7 +85,8 @@ def solve_fbf(prob, initial=None):
     """Solve one free-boundary problem; returns (MeshSolution, NewtonReport).
 
     ``initial`` is a full (J+1, 4) iterate, such as the ``iterate`` of an
-    earlier solution; by default the linear ramp guess is used.
+    earlier solution; by default the linear ramp guess is used.  A
+    converged beta that is not positive raises NonPositiveBeta.
     """
     sys = build_system(prob)
     V0 = default_initial_guess(prob.J) if initial is None else initial
@@ -97,7 +98,10 @@ def solve_fbf(prob, initial=None):
 
     V, report = blocksolve.newton_solve(sys, V0, prob.tol,
                                         iterate_check=check)
-    return _to_solution(V, prob), report
+    sol = _to_solution(V, prob)
+    if not sol.beta > 0.0:
+        raise blocksolve.NonPositiveBeta(sol.beta)
+    return sol, report
 
 
 def continuation_solve(prob, eps_sequence):

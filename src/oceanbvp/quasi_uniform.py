@@ -16,17 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksolve, model
+from .blocksolve import NonPositiveBeta
 from .model import MeshSolution
-
-
-class NonPositiveBeta(blocksolve.NewtonError):
-    """Newton converged to beta <= 0.  The true beta is positive for every
-    b >= 0 and both boundary conditions (1 in the Munk limit b = 0,
-    decreasing with b), so the iterate is a spurious root of the scheme."""
-
-    def __init__(self, beta):
-        super().__init__(f"converged to non-positive beta ({beta:.6g})")
-        self.beta = beta
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,18 @@ class TestSolve:
             solve_fbf(FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-5),
                       initial=guess)
 
+    def test_warm_start_to_negative_beta_raises(self):
+        # From the Munk profile stretched to xi_eps = 13.4, slip b = 16
+        # converges in 27 iterations to beta = -0.2995 at xi_eps = 46.1;
+        # the true beta is positive, so this is not a solution.
+        z = np.linspace(0.0, 1.0, 2001)
+        prof = np.array([model.munk_exact(BcKind.SLIP, x) for x in z * 13.4])
+        V0 = np.column_stack([prof, np.full(2001, 13.4)])
+        with pytest.raises(blocksolve.NonPositiveBeta) as exc:
+            solve_fbf(FbfProblem(params=ModelParams(16.0), kind=BcKind.SLIP,
+                                 eps=1e-5), initial=V0)
+        assert exc.value.beta == pytest.approx(-0.29948, abs=1e-5)
+
 
 class TestContinuation:
     def test_iteration_counts(self, continuation_b2):

@@ -216,3 +216,5 @@ class TestSolve:
         with pytest.raises(NonPositiveBeta) as exc:
             solve_qug(5.0, 200, ModelParams(50.0), BcKind.SLIP)
         assert exc.value.beta < 0
+        # one class for both relaxation methods
+        assert NonPositiveBeta is blocksolve.NonPositiveBeta
