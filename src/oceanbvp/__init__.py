@@ -15,7 +15,7 @@ from .ivp import IvpOptions, IvpStats, integrate
 from .shooting import ShootingProblem, ShootingResult, solve_newton, \
     solve_secant
 from .free_boundary import FbfProblem, continuation_solve, solve_fbf
-from .quasi_uniform import QuasiUniformGrid, solve_qug
+from .quasi_uniform import QugProblem, solve_qug
 
 __all__ = [
     "BcKind", "MeshSolution", "ModelParams", "approx_missing_init",
@@ -23,5 +23,5 @@ __all__ = [
     "IvpOptions", "IvpStats", "integrate",
     "ShootingProblem", "ShootingResult", "solve_newton", "solve_secant",
     "FbfProblem", "continuation_solve", "solve_fbf",
-    "QuasiUniformGrid", "solve_qug",
+    "QugProblem", "solve_qug",
 ]

@@ -13,7 +13,8 @@ equation between node 0 and node J is left.  That equation and the
 boundary rows form one dense 2m x 2m system, so the boundary rows may mix
 both ends (cyclic border).  Orthogonal eliminations keep the solve stable
 although the linearization has a growing mode, which rules out condensing
-or transfer-matrix products.
+or transfer-matrix products.  ``relax`` is the one Newton driver of both
+methods; it holds their shared check that beta is positive.
 """
 
 from dataclasses import dataclass
@@ -249,6 +250,20 @@ def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
             return V, NewtonReport(iterations=it,
                                    final_update_norm=update_norm)
     raise NewtonMaxIterations(max_iter, update_norm)
+
+
+def relax(problem, initial=None):
+    """Newton solve of an ``FbfProblem`` or ``QugProblem`` from ``initial``
+    (by default ``problem.initial_guess()``) with the problem's ``tol`` and
+    ``check_iterate``; returns (problem.solution(V), NewtonReport).  A
+    converged beta that is not positive raises NonPositiveBeta."""
+    V0 = problem.initial_guess() if initial is None else initial
+    V, report = newton_solve(problem.system(), V0, problem.tol,
+                             iterate_check=problem.check_iterate)
+    sol = problem.solution(V)
+    if not sol.beta > 0.0:
+        raise NonPositiveBeta(sol.beta)
+    return sol, report
 
 
 def dense_jacobian_from_blocks(L, R, A, C):

@@ -4,13 +4,16 @@ The far condition u -> 1 is replaced by the pair u = 1, u' = eps at an
 unknown finite boundary xi_eps.  With u4 = xi_eps carried as a fourth,
 constant unknown and z = xi/u4 the problem lives on [0, 1], where it is
 discretized by the midpoint (box) scheme on a uniform z-grid and solved
-with the shared block Newton iteration.  Decreasing eps pushes the free
-boundary out; a continuation driver warm-starts each solve from the
-previous one's converged iterate.
+by the shared relaxation driver ``blocksolve.relax``.  ``FbfProblem``
+holds what is particular to the method: the ramp guess, the check that
+aborts on an iterate with u4 <= 0, and the solution's z -> xi map.
+Decreasing eps pushes the free boundary out; a continuation driver
+warm-starts each solve from the previous one's converged iterate.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +33,9 @@ class NegativeFreeBoundary(blocksolve.NewtonError):
 
 @dataclass(frozen=True)
 class FbfProblem:
+    """One free-boundary solve: J uniform z-intervals, iterate (J+1, 4)
+    with the constant u4 = xi_eps column last."""
+
     params: ModelParams = ModelParams()
     kind: BcKind = BcKind.NO_SLIP
     eps: float = 1e-5
@@ -39,16 +45,29 @@ class FbfProblem:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
-        if self.J < 2:
-            raise ValueError("J must be at least 2")
+        if not isinstance(self.J, numbers.Integral) or self.J < 2:
+            raise ValueError("J must be at least 2 and an integer")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
 
+    def system(self):
+        return build_system(self)
 
-def default_initial_guess(J):
-    """Linear ramp iterate: u1 = z, u2 = z/2, u3 = 1 - z, u4 = 2."""
-    z = np.linspace(0.0, 1.0, J + 1)
-    return np.column_stack([z, 0.5 * z, 1.0 - z, np.full(J + 1, 2.0)])
+    def initial_guess(self):
+        """Linear ramp iterate: u1 = z, u2 = z/2, u3 = 1 - z, u4 = 2."""
+        z = np.linspace(0.0, 1.0, self.J + 1)
+        return np.column_stack([z, 0.5 * z, 1.0 - z, np.full_like(z, 2.0)])
+
+    def check_iterate(self, V):
+        if V[0, 3] <= 0.0:
+            raise NegativeFreeBoundary(V[0, 3])
+
+    def solution(self, V):
+        xi_eps = V[0, 3]
+        z = np.linspace(0.0, 1.0, self.J + 1)
+        return MeshSolution(xi=z * xi_eps, u=V[:, :3],
+                            beta=V[0, model.missing_slot(self.kind)],
+                            free_boundary=xi_eps, iterate=V)
 
 
 def build_system(prob):
@@ -73,56 +92,22 @@ def build_system(prob):
         *model.boundary_rows(prob.kind, (1.0, prob.eps)))
 
 
-def _to_solution(V, prob):
-    xi_eps = V[0, 3]
-    z = np.linspace(0.0, 1.0, prob.J + 1)
-    return MeshSolution(xi=z * xi_eps, u=V[:, :3],
-                        beta=V[0, model.missing_slot(prob.kind)],
-                        free_boundary=xi_eps, iterate=V)
-
-
 def solve_fbf(prob, initial=None):
-    """Solve one free-boundary problem; returns (MeshSolution, NewtonReport).
-
-    ``initial`` is a full (J+1, 4) iterate, such as the ``iterate`` of an
-    earlier solution; by default the linear ramp guess is used.  A
-    converged beta that is not positive raises NonPositiveBeta.
-    """
-    sys = build_system(prob)
-    V0 = default_initial_guess(prob.J) if initial is None else initial
-
-    def check(V):
-        u4 = V[0, 3]
-        if u4 <= 0.0:
-            raise NegativeFreeBoundary(u4)
-
-    V, report = blocksolve.newton_solve(sys, V0, prob.tol,
-                                        iterate_check=check)
-    sol = _to_solution(V, prob)
-    if not sol.beta > 0.0:
-        raise blocksolve.NonPositiveBeta(sol.beta)
-    return sol, report
+    """Solve one ``FbfProblem`` by ``blocksolve.relax``; returns
+    (MeshSolution, NewtonReport)."""
+    return blocksolve.relax(prob, initial)
 
 
 def continuation_solve(prob, eps_sequence):
-    """Solve for a strictly decreasing sequence of eps values, each solve
-    warm-started from the previous one's converged iterate.
-
-    Returns the list of (MeshSolution, NewtonReport), one per eps.  A
-    failing stage raises its NewtonError, and later stages are not
-    attempted.
-    """
-    eps_sequence = list(eps_sequence)
-    if any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
+    """Solve ``replace(prob, eps=e)`` for a strictly decreasing sequence of
+    eps values, each warm-started from the previous one's iterate; returns
+    one (MeshSolution, NewtonReport) per eps.  A failing stage raises its
+    NewtonError, and later stages are not attempted."""
+    stages = [replace(prob, eps=e) for e in eps_sequence]
+    if any(s2.eps >= s1.eps for s1, s2 in zip(stages, stages[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
-    if any(not 0 < e < 1 for e in eps_sequence):
-        raise ValueError("all eps values must lie in (0, 1)")
     results = []
-    initial = None
-    for eps in eps_sequence:
-        step = FbfProblem(params=prob.params, kind=prob.kind, eps=eps,
-                          J=prob.J, tol=prob.tol)
-        sol, report = solve_fbf(step, initial=initial)
-        results.append((sol, report))
-        initial = sol.iterate
+    for stage in stages:
+        warm = results[-1][0].iterate if results else None
+        results.append(solve_fbf(stage, initial=warm))
     return results

@@ -165,11 +165,10 @@ class MeshSolution:
     xi holds the finite node coordinates; u is the (nodes, 3) state array.
     free_boundary is the computed xi_eps (free-boundary runs only) and
     infinity_state the state at the infinity node (quasi-uniform runs only).
-    iterate is the converged Newton unknowns of a relaxation run, the
-    ``initial`` that warm-starts another solve of the same method and
-    grid: (J+1, 4) with the constant u4 = xi_eps column for the free
-    boundary, (J+1, 3) with the infinity node last for the quasi-uniform
-    grid.  A relaxation run's u and infinity_state are views into it.
+    iterate is the converged Newton unknowns of a relaxation run, shaped
+    as ``FbfProblem`` or ``QugProblem`` describes; it is the ``initial``
+    that warm-starts another solve of the same problem, and the run's u
+    and infinity_state are views into it.
     """
 
     xi: np.ndarray

@@ -7,31 +7,41 @@ scheme only ever needs the value at the last node, never its coordinate:
 all scheme coefficients are built from fractional nodes xi(eta) with
 eta < 1, and on the last (infinite) interval the interpolation weights are
 frozen to those of the penultimate interval to keep the coefficients from
-jumping.
+jumping.  ``QugProblem`` holds the grid and what is particular to the
+method, the constant guess and the split of the infinity node from the
+finite ones; the shared driver ``blocksolve.relax`` solves it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocksolve, model
-from .blocksolve import NonPositiveBeta
-from .model import MeshSolution
+from .model import BcKind, MeshSolution, ModelParams
 
 
 @dataclass(frozen=True)
-class QuasiUniformGrid:
-    """Logarithmic quasi-uniform grid with J intervals on [0, inf]."""
+class QugProblem:
+    """One quasi-uniform solve: the logarithmic grid with J intervals on
+    [0, inf], iterate (J+1, 3) with the infinity node last."""
 
+    params: ModelParams = ModelParams()
+    kind: BcKind = BcKind.NO_SLIP
     c: float = 5.0
     J: int = 200
+    tol: float = 1e-6
+
+    check_iterate = None  # every iterate is admissible
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
-        if self.J < 3:
-            raise ValueError("J must be at least 3")
+        if not isinstance(self.J, numbers.Integral) or self.J < 3:
+            raise ValueError("J must be at least 3 and an integer")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
     def fractional_node(self, position):
         """xi at grid positions j + alpha (reals or an array, < J); finite
@@ -63,44 +73,32 @@ class QuasiUniformGrid:
         b = (xi_m - xi_l) / (xi_r - xi_l)
         return b, 1.0 - b
 
+    def system(self):
+        return build_system(self)
 
-def build_system(params, kind, grid):
+    def initial_guess(self):
+        """Constant iterate u1 = 1, u2 = u3 = 0.1 at every node."""
+        return np.tile([1.0, 0.1, 0.1], (self.J + 1, 1))
+
+    def solution(self, U):
+        return MeshSolution(xi=self.finite_nodes(), u=U[:-1],
+                            beta=U[0, model.missing_slot(self.kind)],
+                            infinity_state=U[-1], iterate=U)
+
+
+def build_system(prob):
     """BlockSystem for the midpoint scheme on the quasi-uniform grid, with
     the last interval's weights frozen (see ``interval_weights``)."""
-    j = np.arange(grid.J)
+    j = np.arange(prob.J)
     return blocksolve.midpoint_system(
-        grid.interval_width(j), grid.interval_weights(j)[0],
-        lambda U: model.rhs(0.0, U, params),
-        lambda U: model.rhs_jacobian(0.0, U, params),
-        *model.boundary_rows(kind, (1.0,)))
-
-
-def default_initial_guess(J):
-    """Constant iterate u1 = 1, u2 = u3 = 0.1 at every node."""
-    U = np.empty((J + 1, 3))
-    U[:, 0] = 1.0
-    U[:, 1:] = 0.1
-    return U
+        prob.interval_width(j), prob.interval_weights(j)[0],
+        lambda U: model.rhs(0.0, U, prob.params),
+        lambda U: model.rhs_jacobian(0.0, U, prob.params),
+        *model.boundary_rows(prob.kind, (1.0,)))
 
 
 def solve_qug(c, J, params, kind, tol=1e-6, initial=None):
-    """Newton solve of the quasi-uniform scheme; beta is read at node 0 and
-    the infinity-node state is reported separately from the finite nodes.
-    A converged beta that is not positive raises NonPositiveBeta.
-
-    ``initial`` is a full (J+1, 3) iterate with the infinity node last,
-    such as the ``iterate`` of an earlier solution; by default the constant
-    guess is used.
-    """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    grid = QuasiUniformGrid(c=c, J=J)
-    sys = build_system(params, kind, grid)
-    U0 = default_initial_guess(J) if initial is None else initial
-    U, report = blocksolve.newton_solve(sys, U0, tol)
-    beta = U[0, model.missing_slot(kind)]
-    if not beta > 0.0:
-        raise NonPositiveBeta(beta)
-    sol = MeshSolution(xi=grid.finite_nodes(), u=U[:-1], beta=beta,
-                       infinity_state=U[J], iterate=U)
-    return sol, report
+    """Solve ``QugProblem(params, kind, c, J, tol)`` by ``blocksolve.relax``;
+    returns (MeshSolution, NewtonReport)."""
+    return blocksolve.relax(QugProblem(params, kind, c=c, J=J, tol=tol),
+                            initial)

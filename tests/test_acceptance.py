@@ -15,7 +15,7 @@ from oceanbvp.benchmarks import (APPROX_BETA, APPROX_BETA_TOL, FBF_BETA_TOL,
                                  SHOOTING_SEEDS)
 from oceanbvp.free_boundary import FbfProblem, solve_fbf
 from oceanbvp.model import BcKind, ModelParams
-from oceanbvp.quasi_uniform import QuasiUniformGrid, solve_qug
+from oceanbvp.quasi_uniform import QugProblem, solve_qug
 from oceanbvp.shooting import ShootingProblem
 from oracles import check_jacobian
 
@@ -138,11 +138,11 @@ def test_criterion_09_property_suite():
     fbf_sys = free_boundary.build_system(
         FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=12))
     ok &= check_jacobian(
-        fbf_sys, free_boundary.default_initial_guess(12)) < 1e-5
-    grid = QuasiUniformGrid(c=5.0, J=12)
-    qug_sys = quasi_uniform.build_system(B2, BcKind.SLIP, grid)
+        fbf_sys, FbfProblem(J=12).initial_guess()) < 1e-5
+    grid = QugProblem(B2, BcKind.SLIP, c=5.0, J=12)
+    qug_sys = quasi_uniform.build_system(grid)
     ok &= check_jacobian(
-        qug_sys, quasi_uniform.default_initial_guess(12)) < 1e-5
+        qug_sys, grid.initial_guess()) < 1e-5
 
     # bordered block elimination against a dense oracle
     for _ in range(50):
@@ -162,7 +162,7 @@ def test_criterion_09_property_suite():
                                               1.0) < 1e-10
 
     # grid invariants
-    g = QuasiUniformGrid(c=5.0, J=200)
+    g = QugProblem(c=5.0, J=200)
     ok &= all(sum(g.interval_weights(j)) == 1.0 for j in range(g.J))
     ok &= abs(g.finite_nodes()[-1] - 5.0 * math.log(200)) \
         <= 1e-12 * 5.0 * math.log(200)

@@ -7,11 +7,12 @@ A new export or option shows up here as a test diff.  Non-finite values
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import oceanbvp
 from oceanbvp import (FbfProblem, IvpOptions, IvpStats, MeshSolution,
-                      QuasiUniformGrid, ShootingProblem, ShootingResult,
+                      QugProblem, ShootingProblem, ShootingResult,
                       approx_missing_init, integrate, solve_newton, solve_qug)
 from oceanbvp.blocksolve import NewtonReport
 from oceanbvp.model import BcKind, ModelParams
@@ -24,14 +25,14 @@ def test_exports_are_pinned():
         "IvpOptions", "IvpStats", "integrate",
         "ShootingProblem", "ShootingResult", "solve_newton", "solve_secant",
         "FbfProblem", "continuation_solve", "solve_fbf",
-        "QuasiUniformGrid", "solve_qug",
+        "QugProblem", "solve_qug",
     ]
 
 
 @pytest.mark.parametrize("cls, names", [
     (ShootingProblem, ["params", "kind", "xi_infinity", "tol", "ivp_opts"]),
     (FbfProblem, ["params", "kind", "eps", "J", "tol"]),
-    (QuasiUniformGrid, ["c", "J"]),
+    (QugProblem, ["params", "kind", "c", "J", "tol"]),
     (IvpOptions, ["rel_tol", "abs_tol", "max_steps"]),
     (IvpStats, ["accepted_steps", "rejected_steps", "rhs_evaluations"]),
     (NewtonReport, ["iterations", "final_update_norm"]),
@@ -58,7 +59,7 @@ INF = math.inf
     lambda: ShootingProblem(xi_infinity=NAN),
     lambda: ShootingProblem(tol=NAN),
     lambda: FbfProblem(tol=NAN),
-    lambda: QuasiUniformGrid(c=NAN),
+    lambda: QugProblem(c=NAN),
     lambda: IvpOptions(rel_tol=NAN),
     lambda: IvpOptions(abs_tol=NAN),
     lambda: approx_missing_init(BcKind.SLIP, NAN),
@@ -67,16 +68,31 @@ INF = math.inf
     lambda: ShootingProblem(xi_infinity=INF),
     lambda: ShootingProblem(tol=INF),
     lambda: FbfProblem(tol=INF),
-    lambda: QuasiUniformGrid(c=INF),
+    lambda: QugProblem(c=INF),
     lambda: IvpOptions(rel_tol=INF),
     lambda: IvpOptions(abs_tol=INF),
     lambda: solve_qug(5.0, 20, ModelParams(2.0), BcKind.SLIP, tol=INF),
     lambda: integrate(lambda t, y: y, 0.0, INF, [1.0]),
+    lambda: FbfProblem(J=NAN),
+    lambda: FbfProblem(J=100.5),
+    lambda: QugProblem(J=NAN),
+    lambda: QugProblem(J=100.5),
+    lambda: solve_qug(5.0, 100.5, ModelParams(2.0), BcKind.SLIP),
+    lambda: QugProblem(tol=NAN),
+    lambda: QugProblem(tol=INF),
 ], ids=["shoot-xi-inf", "shoot-tol", "fbf-tol", "qug-c", "ivp-rel-tol",
         "ivp-abs-tol", "approx-b", "qug-tol-nan", "qug-tol-zero",
         "shoot-xi-inf-infinite", "shoot-tol-infinite", "fbf-tol-infinite",
         "qug-c-infinite", "ivp-rel-tol-infinite", "ivp-abs-tol-infinite",
-        "qug-tol-infinite", "ivp-t-end-infinite"])
+        "qug-tol-infinite", "ivp-t-end-infinite", "fbf-J-nan",
+        "fbf-J-fraction", "qug-J-nan", "qug-J-fraction",
+        "qug-solve-J-fraction", "qug-problem-tol-nan",
+        "qug-problem-tol-infinite"])
 def test_nan_is_rejected_where_it_enters(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_numpy_integer_grid_sizes_are_accepted():
+    assert FbfProblem(J=np.int64(40)).J == 40
+    assert QugProblem(J=np.int32(20)).J == 20

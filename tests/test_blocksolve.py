@@ -1,7 +1,9 @@
+import pathlib
+
 import numpy as np
 import pytest
 
-from oceanbvp import blocksolve, free_boundary, model
+from oceanbvp import blocksolve, free_boundary, model, quasi_uniform
 from oceanbvp.blocksolve import (BlockSystem, NewtonError,
                                  NewtonMaxIterations, NonFiniteIterate,
                                  SingularJacobian, dense_jacobian_from_blocks,
@@ -246,6 +248,58 @@ class TestNewtonSolve:
         for cls in (SingularJacobian, NewtonMaxIterations, NonFiniteIterate,
                     free_boundary.NegativeFreeBoundary):
             assert issubclass(cls, NewtonError)
+
+
+B2 = ModelParams(2.0)
+
+# method -> solve(J, initial) through its public entry point
+RELAX_SOLVES = {
+    "fbf": lambda J, initial: free_boundary.solve_fbf(
+        FbfProblem(params=B2, eps=1e-2, J=J), initial=initial),
+    "qug": lambda J, initial: quasi_uniform.solve_qug(
+        5.0, J, B2, BcKind.NO_SLIP, initial=initial),
+}
+
+
+class TestRelax:
+    """``relax`` is the one Newton driver of both relaxation methods."""
+
+    @pytest.fixture
+    def linear_solves(self, monkeypatch):
+        calls = []
+        solve = blocksolve.solve_bordered_block
+
+        def spy(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(blocksolve, "solve_bordered_block", spy)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def iterates(self):
+        return {method: solve(40, None)[0].iterate
+                for method, solve in RELAX_SOLVES.items()}
+
+    @pytest.mark.parametrize("method, initial", [
+        ("fbf", "qug"), ("qug", "fbf"), ("fbf", "fbf"), ("qug", "qug")])
+    def test_foreign_warm_start_fails_before_iterating(
+            self, iterates, linear_solves, method, initial):
+        # the other method's J = 40 iterate, or this method's for J = 20
+        J = 40 if method != initial else 20
+        with pytest.raises(ValueError, match="iterate shape"):
+            RELAX_SOLVES[method](J, iterates[initial])
+        assert linear_solves == []
+
+    def test_non_positive_beta_is_raised_in_one_place(self):
+        src = pathlib.Path(blocksolve.__file__).parent
+        raises = [(path.name, line.strip())
+                  for path in sorted(src.glob("*.py"))
+                  for line in path.read_text().splitlines()
+                  if "NonPositiveBeta(" in line
+                  and not line.lstrip().startswith("class ")]
+        assert raises == [("blocksolve.py",
+                           "raise NonPositiveBeta(sol.beta)")]
 
 
 class TestMidpointSystem:

@@ -4,7 +4,7 @@ import pytest
 from oceanbvp import blocksolve, free_boundary, model
 from oceanbvp.free_boundary import (FbfProblem, NegativeFreeBoundary,
                                     build_system, continuation_solve,
-                                    default_initial_guess, solve_fbf)
+                                    solve_fbf)
 from oceanbvp.model import BcKind, ModelParams
 from oracles import check_jacobian, full_residual
 
@@ -27,7 +27,7 @@ class TestProblemValidation:
 
 class TestResidual:
     def test_default_guess_ramp(self):
-        V = default_initial_guess(4)
+        V = FbfProblem(J=4).initial_guess()
         np.testing.assert_allclose(V[:, 0], [0, 0.25, 0.5, 0.75, 1.0])
         np.testing.assert_allclose(V[:, 1], V[:, 0] / 2)
         np.testing.assert_allclose(V[:, 2], 1.0 - V[:, 0])
@@ -77,8 +77,7 @@ class TestResidual:
     def test_analytic_jacobian_matches_finite_differences(self):
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=12)
         sys = build_system(prob)
-        assert check_jacobian(sys, default_initial_guess(12)) \
-            < 1e-5
+        assert check_jacobian(sys, prob.initial_guess()) < 1e-5
 
 
 class TestSolve:
@@ -114,7 +113,7 @@ class TestSolve:
     def test_free_boundary_unknown_constant_across_nodes(self):
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=200)
         sys = build_system(prob)
-        V, _ = blocksolve.newton_solve(sys, default_initial_guess(200),
+        V, _ = blocksolve.newton_solve(sys, prob.initial_guess(),
                                        prob.tol)
         assert np.max(np.abs(V[:, 3] - V[0, 3])) < 1e-9
 
@@ -161,7 +160,7 @@ class TestSolve:
             assert again.beta == pytest.approx(sol.beta, abs=1e-10)
 
     def test_negative_free_boundary_guard(self):
-        guess = default_initial_guess(2000)
+        guess = FbfProblem(J=2000).initial_guess()
         guess[:, 3] = 1e-3
         with pytest.raises(NegativeFreeBoundary):
             solve_fbf(FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-5),

@@ -57,16 +57,6 @@ class TestIntegrate:
         y, _ = ivp.integrate(lambda t, u: model.rhs(t, u, p), 0.0, 10.0, y0)
         assert abs(y[0] - 1.0) < 0.1
 
-    def test_ocean_rhs_diverges_at_bad_beta(self):
-        p = ModelParams(2.0)
-        y0 = model.bc_initial(BcKind.NO_SLIP, 2.0)
-        try:
-            y, _ = ivp.integrate(lambda t, u: model.rhs(t, u, p),
-                                 0.0, 10.0, y0)
-            assert abs(y[0] - 1.0) > 1.0
-        except Overflow:
-            pass
-
     def test_stats_evaluation_identity(self):
         # FSAL: one start-up evaluation plus three per attempted step.
         y, stats = ivp.integrate(decay, 0.0, 1.0, np.array([1.0]))
@@ -126,13 +116,15 @@ class TestIntegrate:
 class TestFloatState:
     def test_no_slip_divergent_integration_counts(self):
         # The heaviest single root-finding integration of the secant run
-        # from the no-slip seed beta = 2; its step sequence is pinned.
+        # from the no-slip seed beta = 2; its step sequence is pinned, and
+        # at the bad beta the solution runs far from u = 1.
         rhs = shooting._rhs3(shooting.ShootingProblem())
         y0 = model.bc_initial(BcKind.NO_SLIP, 2.0)
         y, stats = ivp.integrate(rhs, 0.0, 10.0, y0)
         assert (stats.accepted_steps, stats.rejected_steps,
                 stats.rhs_evaluations) == (105_868, 17, 317_656)
         assert y.shape == (3,)
+        assert abs(y[0] - 1.0) > 1.0
 
     def test_ndarray_state_and_rhs_match_tuples(self):
         # ndarray states with an ndarray-returning rhs take the same steps

@@ -5,9 +5,8 @@ import pytest
 
 from oceanbvp import blocksolve, model
 from oceanbvp.model import BcKind, ModelParams
-from oceanbvp.quasi_uniform import (NonPositiveBeta, QuasiUniformGrid,
-                                    build_system, default_initial_guess,
-                                    solve_qug)
+from oceanbvp.blocksolve import NonPositiveBeta
+from oceanbvp.quasi_uniform import QugProblem, build_system, solve_qug
 from oracles import check_jacobian, full_residual
 
 B2 = ModelParams(2.0)
@@ -15,7 +14,7 @@ B2 = ModelParams(2.0)
 
 class TestGrid:
     def test_basic_nodes(self):
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         xs = g.finite_nodes()
         assert len(xs) == 200  # the infinity node is not among them
         assert xs[0] == 0.0
@@ -23,38 +22,38 @@ class TestGrid:
 
     def test_half_node_is_c_ln2(self):
         for c, J in [(5.0, 200), (2.0, 100)]:
-            g = QuasiUniformGrid(c=c, J=J)
+            g = QugProblem(c=c, J=J)
             assert g.finite_nodes()[J // 2] == pytest.approx(
                 c * math.log(2.0), rel=1e-13)
 
     def test_last_half_fraction_finite(self):
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         assert g.fractional_node(199.5) == pytest.approx(
             5.0 * math.log(400.0), rel=1e-13)
 
     def test_nodes_strictly_increasing(self):
-        g = QuasiUniformGrid(c=5.0, J=50)
+        g = QugProblem(c=5.0, J=50)
         assert (np.diff(g.finite_nodes()) > 0).all()
 
     def test_fractional_node_rejects_eta_one(self):
-        g = QuasiUniformGrid(c=5.0, J=10)
+        g = QugProblem(c=5.0, J=10)
         with pytest.raises(AssertionError):
             g.fractional_node(10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuasiUniformGrid(c=0.0, J=10)
+            QugProblem(c=0.0, J=10)
         with pytest.raises(ValueError):
-            QuasiUniformGrid(c=5.0, J=2)
+            QugProblem(c=5.0, J=2)
 
     def test_weights_sum_to_one_exactly(self):
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         for j in range(g.J):
             b, c = g.interval_weights(j)
             assert b + c == 1.0
 
     def test_last_interval_weights_are_frozen_copy(self):
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         assert g.interval_weights(g.J - 1) == g.interval_weights(g.J - 2)
 
 
@@ -64,7 +63,7 @@ class TestMidpointFormulae:
     arrays."""
 
     def test_interpolation_reproduces_constants(self):
-        g = QuasiUniformGrid(c=5.0, J=20)
+        g = QugProblem(c=5.0, J=20)
         v = np.array([1.0, -2.0, 0.5])
         b, c = g.interval_weights(np.arange(g.J))
         np.testing.assert_allclose(c[:, None] * v + b[:, None] * v,
@@ -73,36 +72,36 @@ class TestMidpointFormulae:
     def test_interior_weights_near_half(self):
         # at j = 0 the map curvature is mild, so the convex pair is close
         # to the uniform-grid (1/2, 1/2)
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         b, c = g.interval_weights(0)
         assert b == pytest.approx(0.5, abs=2e-3)
         assert c == pytest.approx(0.5, abs=2e-3)
 
     def test_last_interval_value_finite(self):
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         b, c = g.interval_weights(np.arange(g.J))
         assert np.isfinite(c[-1] * 0.9 + b[-1] * 1.0)
 
     def test_derivative_of_constant_vanishes(self):
-        g = QuasiUniformGrid(c=5.0, J=20)
+        g = QugProblem(c=5.0, J=20)
         u = np.full(g.J + 1, 0.7)
         np.testing.assert_array_equal(
             (u[1:] - u[:-1]) / g.interval_width(np.arange(g.J)), 0.0)
 
     def test_derivative_recovers_linear_slope(self):
-        g = QuasiUniformGrid(c=5.0, J=400)
+        g = QugProblem(c=5.0, J=400)
         j = np.array([0, 50, 150])
         xi = g.finite_nodes()
         d = (xi[j + 1] - xi[j]) / g.interval_width(j)
         np.testing.assert_allclose(d, 1.0, atol=1e-4)
 
     def test_derivative_finite_on_last_interval(self):
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(c=5.0, J=200)
         u_j, u_j1 = 1.0 - 1e-6, 1.0
         assert np.isfinite((u_j1 - u_j) / g.interval_width(g.J - 1))
 
     def test_arrays_match_per_interval_values(self):
-        g = QuasiUniformGrid(c=5.0, J=50)
+        g = QugProblem(c=5.0, J=50)
         j = np.arange(g.J)
         b, c = g.interval_weights(j)
         a = g.interval_width(j)
@@ -114,9 +113,9 @@ class TestMidpointFormulae:
 
 class TestResidual:
     def test_equilibrium_profile(self):
-        g = QuasiUniformGrid(c=5.0, J=20)
+        g = QugProblem(B2, BcKind.NO_SLIP, c=5.0, J=20)
         U = np.tile([1.0, 0.0, 0.0], (21, 1))
-        sys = build_system(B2, BcKind.NO_SLIP, g)
+        sys = build_system(g)
         res = full_residual(sys, U)
         np.testing.assert_array_equal(res[:60], 0.0)
         np.testing.assert_allclose(res[60:], [1.0, 0.0, 0.0])
@@ -124,18 +123,18 @@ class TestResidual:
     def test_converged_solution_has_tiny_residual(self, qug_b2):
         for kind in BcKind:
             sol, _ = qug_b2[(kind, 200)]
-            g = QuasiUniformGrid(c=5.0, J=200)
+            g = QugProblem(B2, kind, c=5.0, J=200)
             U = np.vstack([sol.u, sol.infinity_state])
             np.testing.assert_array_equal(sol.iterate, U)
-            res = full_residual(build_system(B2, kind, g), U)
+            res = full_residual(build_system(g), U)
             assert np.mean(np.abs(res)) < 1e-8
 
     def test_coefficient_freeze_shrinks_last_interval_error(self, qug_b2):
         sol, _ = qug_b2[(BcKind.NO_SLIP, 200)]
-        g = QuasiUniformGrid(c=5.0, J=200)
+        g = QugProblem(B2, BcKind.NO_SLIP, c=5.0, J=200)
         U = np.vstack([sol.u, sol.infinity_state])
         frozen = full_residual(
-            build_system(B2, BcKind.NO_SLIP, g), U)
+            build_system(g), U)
         # the literal weight on the infinity node of the last interval is 0
         j = np.arange(g.J)
         weights = g.interval_weights(j)[0].copy()
@@ -151,9 +150,9 @@ class TestResidual:
             > np.max(np.abs(frozen[j_last]))
 
     def test_analytic_jacobian_matches_finite_differences(self):
-        g = QuasiUniformGrid(c=5.0, J=12)
-        sys = build_system(B2, BcKind.SLIP, g)
-        assert check_jacobian(sys, default_initial_guess(12)) \
+        g = QugProblem(B2, BcKind.SLIP, c=5.0, J=12)
+        sys = build_system(g)
+        assert check_jacobian(sys, g.initial_guess()) \
             < 1e-5
 
 
