@@ -6,15 +6,17 @@ boundary rows: one m-vector of unknowns per node j = 0..J, interior
 equation j coupling only the nodes j-1 and j, plus m boundary rows
 coupling node 0 and node J.  The Newton linear systems are solved in
 O(J m^3) by structured cyclic reduction with orthogonal factorizations
-(S. J. Wright, SIAM J. Sci. Stat. Comput. 13, 1992): each of the
+(S. J. Wright, SIAM J. Sci. Stat. Comput. 13, 1992) on one chain of
+equations, equation q coupling nodes[q] and nodes[q+1]: each of the
 ceil(log2 J) levels eliminates every other node from pairs of neighbouring
 equations with Householder QR, batched across the pairs, until one
-equation between node 0 and node J is left.  That equation and the
-boundary rows form one dense 2m x 2m system, so the boundary rows may mix
-both ends (cyclic border).  Orthogonal eliminations keep the solve stable
-although the linearization has a growing mode, which rules out condensing
-or transfer-matrix products.  ``relax`` is the one Newton driver of both
-methods; it holds their shared check that beta is positive.
+equation between node 0 and node J is left.  Stacked over the boundary
+rows it forms one dense 2m x 2m system that closes the chain, so the
+boundary rows may mix both ends (cyclic border).  Orthogonal eliminations
+keep the solve stable although the linearization has a growing mode,
+which rules out condensing or transfer-matrix products.  ``relax`` is the
+one Newton driver of both methods; it holds their shared check that beta
+is positive.
 """
 
 from dataclasses import dataclass
@@ -157,67 +159,53 @@ def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
 
     for x of shape (J+1, m) by structured cyclic reduction.
 
-    Each interior equation is held as m rows over [left node | right node |
-    rhs].  A level pairs equations 2i and 2i+1, which share the node
-    between them, and stacks each pair over [shared | left | right | rhs].
-    Householder reflections triangularize the shared-node columns: the top
-    m rows express the shared node through its neighbours and are kept for
-    back substitution, the bottom m rows are the reduced equation between
-    the neighbours.  An odd equation out carries over to the next level.
-    The last equation couples x_0 and x_J and, with the boundary rows,
-    forms one dense 2m x 2m system, so the boundary rows may mix both ends
-    (cyclic border).  Work arrays keep the batch on the last axis, so
-    every row operation runs over contiguous memory.
+    A level is one chain of equations: equation q, m rows over [left |
+    right | rhs], couples nodes[q] and nodes[q+1].  Equations 2i and 2i+1
+    share nodes[2i+1]; stacked over [shared | left | right | rhs], the pair
+    is triangularized in the shared columns by Householder reflections.
+    The top m rows give the shared node from its neighbours and are kept
+    for back substitution; the bottom m rows are the reduced equation
+    between the neighbours.  An odd equation out carries over.  The last
+    equation, between x_0 and x_J, stacked over the boundary rows closes
+    the chain as one dense 2m x 2m system, so the boundary rows may mix
+    both ends (cyclic border).  Work arrays keep the batch on the last
+    axis, so every row operation runs over contiguous memory.
     """
     J, m, _ = L.shape
-    # Equation q of the current level is Lq[..., q] x_left[q] + Rq[..., q]
-    # x_right[q] = rq[:, q]; the inputs enter as views, later levels as
-    # views of the reduced equations E.
-    Lq, Rq = L.transpose(1, 2, 0), R.transpose(1, 2, 0)
-    rq = np.asarray(interior_rhs, float).T
-    left = np.arange(J)
-    right = np.arange(1, J + 1)
+    # The inputs enter as views, later levels as views of the reduced E.
+    eq = (L.transpose(1, 2, 0), R.transpose(1, 2, 0),
+          np.asarray(interior_rhs, float).T)
+    nodes = np.arange(J + 1)
     levels = []
-    while rq.shape[1] > 1:
-        h = rq.shape[1] // 2
+    while len(nodes) > 2:
+        h = (len(nodes) - 1) // 2
         even, odd = slice(0, 2 * h, 2), slice(1, 2 * h, 2)
-        shared = right[even]
+        left, right, rhs = eq
         W = np.zeros((2 * m, 3 * m + 1, h))
-        W[:m, :m] = Rq[..., even]
-        W[:m, m:2 * m] = Lq[..., even]
-        W[:m, 3 * m] = rq[:, even]
-        W[m:, :m] = Lq[..., odd]
-        W[m:, 2 * m:3 * m] = Rq[..., odd]
-        W[m:, 3 * m] = rq[:, odd]
-        _triangularize(W, m, [shared] * m)
-        outer = (left[even], right[odd])
-        levels.append((shared, outer, W[:m].copy()))
-        E = np.empty((m, 2 * m + 1, rq.shape[1] - h))
+        W[:m, :m], W[m:, :m] = right[..., even], left[..., odd]
+        W[:m, m:2 * m], W[m:, 2 * m:3 * m] = left[..., even], right[..., odd]
+        W[:m, 3 * m], W[m:, 3 * m] = rhs[:, even], rhs[:, odd]
+        _triangularize(W, m, [nodes[odd]] * m)
+        levels.append((nodes, W[:m].copy()))
+        E = np.empty((m, 2 * m + 1, len(nodes) - 1 - h))
         E[..., :h] = W[m:, m:]
-        E[:, :m, h:] = Lq[..., 2 * h:]
-        E[:, m:2 * m, h:] = Rq[..., 2 * h:]
-        E[:, 2 * m, h:] = rq[:, 2 * h:]
+        E[:, :m, h:], E[:, m:2 * m, h:], E[:, 2 * m, h:] = (
+            e[..., 2 * h:] for e in eq)
         del W  # the kept rows and E are copies: free W before the next level
-        Lq, Rq, rq = E[:, :m], E[:, m:2 * m], E[:, 2 * m]
-        left = np.concatenate([outer[0], left[2 * h:]])
-        right = np.concatenate([outer[1], right[2 * h:]])
-    # Remaining equation and boundary rows, over [x_0 | x_J | rhs].
-    B = np.empty((2 * m, 2 * m + 1, 1))
-    B[:m, :m] = Lq
-    B[:m, m:2 * m] = Rq
-    B[:m, 2 * m] = rq
-    B[m:, :m, 0] = A
-    B[m:, m:2 * m, 0] = C
-    B[m:, 2 * m, 0] = boundary_rhs
+        eq = E[:, :m], E[:, m:2 * m], E[:, 2 * m]
+        nodes = np.concatenate([nodes[:2 * h + 1:2], nodes[2 * h + 1:]])
+    left, right, rhs = eq
+    B = np.vstack([np.hstack([left[..., 0], right[..., 0], rhs]),
+                   np.column_stack([A, C, boundary_rhs])])[..., None]
     _triangularize(B, 2 * m, [[0]] * m + [[J]] * m)
-    ends = _solve_upper(B[:, :2 * m], B[:, 2 * m])[:, 0]
     x = np.empty((m, J + 1))
-    x[:, 0], x[:, J] = ends[:m], ends[m:]
-    for shared, (a, c), top in reversed(levels):
+    x[:, nodes] = _solve_upper(B[:, :2 * m], B[:, 2 * m]).reshape(2, m).T
+    for chain, top in reversed(levels):
         rhs = (top[:, 3 * m]
-               - np.einsum("ijh,jh->ih", top[:, m:2 * m], x[:, a])
-               - np.einsum("ijh,jh->ih", top[:, 2 * m:3 * m], x[:, c]))
-        x[:, shared] = _solve_upper(top[:, :m], rhs)
+               - np.einsum("ijh,jh->ih", top[:, m:2 * m], x[:, chain[:-2:2]])
+               - np.einsum("ijh,jh->ih", top[:, 2 * m:3 * m],
+                           x[:, chain[2::2]]))
+        x[:, chain[1:-1:2]] = _solve_upper(top[:, :m], rhs)
     return np.ascontiguousarray(x.T)
 
 

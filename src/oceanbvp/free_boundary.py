@@ -43,6 +43,7 @@ class FbfProblem:
     tol: float = 1e-6
 
     def __post_init__(self):
+        model.check_kind(self.kind)
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
         if not isinstance(self.J, numbers.Integral) or self.J < 2:

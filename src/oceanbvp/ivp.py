@@ -17,6 +17,7 @@ in the same order, so they give the same bits.
 """
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -67,6 +68,10 @@ class IvpOptions:
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        # A NaN budget would never trip the step-count test.
+        if not (isinstance(self.max_steps, numbers.Integral)
+                and self.max_steps > 0):
+            raise ValueError("max_steps must be a positive integer")
 
 
 @dataclass
@@ -125,25 +130,6 @@ def step_bs23(rhs, t, y, h, f_start=None):
                          + 0.125 * d4)
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4, strict=True)])
     return y2, y3, nev, k4
-
-
-def _attempt(rhs, t, y, h, f, abs_tol, rel_tol):
-    """One attempted step of any length from (t, y) with slope f.
-
-    Returns (third-order solution, its slope, RMS error norm, largest
-    |component| of the solution).  The error of each component is scaled
-    by abs_tol + rel_tol * max(|y|, |y3|).
-    """
-    y2, y3, _, f3 = step_bs23(rhs, t, y, h, f)
-    acc = mag = 0.0
-    for v, lo, hi in zip(y, y2, y3):
-        a = abs(v)
-        b = abs(hi)
-        if b > mag:
-            mag = b
-        q = (hi - lo) / (abs_tol + rel_tol * (a if a >= b else b))
-        acc += q * q
-    return y3, f3, math.sqrt(acc / len(y)), mag
 
 
 def _first_step(y0, f0, t_span, opts):
@@ -216,8 +202,19 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
             landing = h >= t_next - t
             if landing:
                 h = t_next - t
-            y3, f3, enorm, mag = _attempt(rhs, t, y, h, f, abs_tol, rel_tol)
+            y2, y3, _, f3 = step_bs23(rhs, t, y, h, f)
             nev += 3
+            # RMS norm of the error, each component scaled by abs_tol +
+            # rel_tol * max(|y|, |y3|), and the magnitude max |y3|.
+            acc = mag = 0.0
+            for v, lo, hi in zip(y, y2, y3):
+                a = abs(v)
+                b = abs(hi)
+                if b > mag:
+                    mag = b
+                q = (hi - lo) / (abs_tol + rel_tol * (a if a >= b else b))
+                acc += q * q
+            enorm = math.sqrt(acc / len(y))
             if enorm <= 1.0:
                 t = t_next if landing else t + h
                 y = y3
@@ -235,11 +232,12 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
 
 
 def _integrate_third_order(rhs, t, t_end, y, samples, opts, end_only):
-    """``integrate`` for a ThirdOrder: the loop above with ``_attempt`` on
-    scalar locals.  Slope components 1 and 2 are state components 2 and 3,
-    so only g is called, and the stage and FSAL slopes need no tuples.
-    The operations and their order are those of ``_attempt``, so the bits,
-    the counts and the exceptions are the same."""
+    """``integrate`` for a ThirdOrder: the loop above with ``step_bs23``
+    and the error norm on scalar locals.  Slope components 1 and 2 are
+    state components 2 and 3, so only g is called, and the stage and FSAL
+    slopes need no tuples.  The operations and their order are those of
+    the loop above, so the bits, the counts and the exceptions are the
+    same."""
     y1, y2, y3 = y
     g, p = rhs.g, rhs.p
     rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
@@ -294,7 +292,7 @@ def _integrate_third_order(rhs, t, t_end, y, samples, opts, end_only):
                 y1, y2, y3, f3 = hi1, hi2, hi3, k43
                 accepted += 1
                 # A NaN or inf fails the norm, so b1..b3 are finite here
-                # and max is the magnitude of _attempt.
+                # and max is the magnitude of the loop above.
                 if b1 > limit or b2 > limit or b3 > limit:
                     raise Overflow(t, max(b1, b2, b3))
             else:

@@ -89,10 +89,18 @@ def rhs_variational(xi, U, p):
             b * (2.0 * u2 * s5 - u3 * s4 - u1 * s6) + s4)
 
 
+def check_kind(kind):
+    """``kind`` if it is a BcKind.  Anything else, the string "no-slip"
+    too, is a ValueError: the switches below would take it for slip."""
+    if not isinstance(kind, BcKind):
+        raise ValueError(f"kind must be a BcKind, got {kind!r}")
+    return kind
+
+
 def missing_slot(kind):
     """Index of beta in the state (u, u', u''): 2 (u''(0)) for no-slip, 1
     (u'(0)) for slip.  The other of slots 1 and 2 is zero at the coast."""
-    return 2 if kind is BcKind.NO_SLIP else 1
+    return 2 if check_kind(kind) is BcKind.NO_SLIP else 1
 
 
 def boundary_rows(kind, far):
@@ -130,7 +138,7 @@ def approx_missing_init(kind, b):
     """
     if not b >= 0:
         raise ValueError("b must be non-negative")
-    if kind is BcKind.NO_SLIP:
+    if check_kind(kind) is BcKind.NO_SLIP:
         return math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * b / 3.0)))
     return 2.0 / (1.0 + math.sqrt(1.0 + 10.0 * b / 3.0))
 

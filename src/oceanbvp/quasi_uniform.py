@@ -36,6 +36,7 @@ class QugProblem:
     check_iterate = None  # every iterate is admissible
 
     def __post_init__(self):
+        model.check_kind(self.kind)
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
         if not isinstance(self.J, numbers.Integral) or self.J < 3:
@@ -47,8 +48,8 @@ class QugProblem:
         """xi at grid positions j + alpha (reals or an array, < J); finite
         by construction."""
         position = np.asarray(position, dtype=float)
-        assert (position < self.J).all(), \
-            "fractional nodes must stay below eta = 1"
+        if not (position < self.J).all():
+            raise ValueError("fractional nodes must stay below eta = 1")
         return -self.c * np.log1p(-position / self.J)
 
     def finite_nodes(self):

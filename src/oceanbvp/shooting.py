@@ -48,6 +48,7 @@ class ShootingProblem:
     ivp_opts: ivp.IvpOptions = ivp.IvpOptions()
 
     def __post_init__(self):
+        model.check_kind(self.kind)
         if not (0 < self.xi_infinity < math.inf and 0 < self.tol < math.inf):
             raise ValueError("xi_infinity and tol must be positive and "
                              "finite")

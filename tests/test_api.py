@@ -13,7 +13,8 @@ import pytest
 import oceanbvp
 from oceanbvp import (FbfProblem, IvpOptions, IvpStats, MeshSolution,
                       QugProblem, ShootingProblem, ShootingResult,
-                      approx_missing_init, integrate, solve_newton, solve_qug)
+                      approx_missing_init, bc_initial, integrate,
+                      solve_newton, solve_qug)
 from oceanbvp.blocksolve import NewtonReport
 from oceanbvp.model import BcKind, ModelParams
 
@@ -80,6 +81,16 @@ INF = math.inf
     lambda: solve_qug(5.0, 100.5, ModelParams(2.0), BcKind.SLIP),
     lambda: QugProblem(tol=NAN),
     lambda: QugProblem(tol=INF),
+    lambda: ShootingProblem(kind="no-slip"),
+    lambda: FbfProblem(kind="no-slip"),
+    lambda: QugProblem(kind="no-slip"),
+    lambda: solve_qug(5.0, 200, ModelParams(2.0), "no-slip"),
+    lambda: approx_missing_init("no-slip", 2.0),
+    lambda: bc_initial("no-slip", 1.0),
+    lambda: IvpOptions(max_steps=NAN),
+    lambda: IvpOptions(max_steps=INF),
+    lambda: IvpOptions(max_steps=-3),
+    lambda: IvpOptions(max_steps=2.5),
 ], ids=["shoot-xi-inf", "shoot-tol", "fbf-tol", "qug-c", "ivp-rel-tol",
         "ivp-abs-tol", "approx-b", "qug-tol-nan", "qug-tol-zero",
         "shoot-xi-inf-infinite", "shoot-tol-infinite", "fbf-tol-infinite",
@@ -87,7 +98,11 @@ INF = math.inf
         "qug-tol-infinite", "ivp-t-end-infinite", "fbf-J-nan",
         "fbf-J-fraction", "qug-J-nan", "qug-J-fraction",
         "qug-solve-J-fraction", "qug-problem-tol-nan",
-        "qug-problem-tol-infinite"])
+        "qug-problem-tol-infinite", "shoot-kind-string", "fbf-kind-string",
+        "qug-kind-string", "qug-solve-kind-string", "approx-kind-string",
+        "bc-initial-kind-string", "ivp-max-steps-nan",
+        "ivp-max-steps-infinite", "ivp-max-steps-negative",
+        "ivp-max-steps-fraction"])
 def test_nan_is_rejected_where_it_enters(make):
     with pytest.raises(ValueError):
         make()
@@ -96,3 +111,4 @@ def test_nan_is_rejected_where_it_enters(make):
 def test_numpy_integer_grid_sizes_are_accepted():
     assert FbfProblem(J=np.int64(40)).J == 40
     assert QugProblem(J=np.int32(20)).J == 20
+    assert IvpOptions(max_steps=np.int64(5)).max_steps == 5

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import numpy as np
@@ -125,6 +126,22 @@ class TestBorderedSolve:
                 expect = dense_solve(L, R, A, C, ri, rb)
                 err = np.max(np.abs(x - expect)) / np.max(np.abs(expect))
                 assert err < 1e-10, (J, m, err)
+
+    def test_output_bits_are_pinned(self):
+        # SHA-256 of the solutions' bytes.  The dense comparisons allow
+        # 1e-10; this pins every bit, so any change in the order of the
+        # floating-point operations shows here.
+        rng = np.random.default_rng(16)
+        digest = hashlib.sha256()
+        for J in [*range(1, 41), 2000]:
+            for m in (3, 4):
+                L, R, A, C = random_blocks(rng, J, m)
+                x = solve_bordered_block(L, R, A, C,
+                                         rng.standard_normal((J, m)),
+                                         rng.standard_normal(m))
+                digest.update(x.tobytes())
+        assert digest.hexdigest() == ("f522aec6d1f707cef321fe74c4ca9989"
+                                      "86903b0aae775ae8c5d8be6e4e13a288")
 
     def test_free_boundary_jacobian_at_converged_state(self):
         # The real box-scheme Jacobian carries the growing mode of the

@@ -37,8 +37,9 @@ class TestGrid:
 
     def test_fractional_node_rejects_eta_one(self):
         g = QugProblem(c=5.0, J=10)
-        with pytest.raises(AssertionError):
-            g.fractional_node(10.0)
+        for position in (10.0, 12.0):
+            with pytest.raises(ValueError):
+                g.fractional_node(position)
 
     def test_validation(self):
         with pytest.raises(ValueError):

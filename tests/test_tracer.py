@@ -1,25 +1,29 @@
-"""perfbench's tracer patches fixed module attributes of the package; a
-refactor that drops or bypasses one of them shows up here rather than
-only in a traced benchmark run."""
+"""perfbench's tracer patches fixed module attributes of the package, and
+a traced run gates on perfbench's block-solver check; a refactor that
+drops or bypasses one of the patched names, or breaks the check, shows up
+here rather than only in a traced benchmark run."""
 
 import importlib.util
 import pathlib
 
+import numpy as np
+
 from oceanbvp import cli, free_boundary, quasi_uniform
 from oceanbvp.model import BcKind, ModelParams
 
-TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_patched_name_records_calls():
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     p = ModelParams(2.0)
     with tracer:
         quasi_uniform.solve_qug(5.0, 20, p, BcKind.NO_SLIP)
@@ -34,3 +38,9 @@ def test_every_patched_name_records_calls():
                  "blocksolve.newton_solve", "blocksolve.solve_bordered_block",
                  "cli.sweep_b"):
         assert calls.get(name, 0) >= 1, name
+
+
+def test_block_solver_check_passes():
+    check = _load("kernels").check_block_solver
+    for seed in (1, 2, 3):
+        assert check(np.random.default_rng(seed)) < 1e-10, seed
