@@ -11,12 +11,16 @@ equations, equation q coupling nodes[q] and nodes[q+1]: each of the
 ceil(log2 J) levels eliminates every other node from pairs of neighbouring
 equations with Householder QR, batched across the pairs, until one
 equation between node 0 and node J is left.  Stacked over the boundary
-rows it forms one dense 2m x 2m system that closes the chain, so the
-boundary rows may mix both ends (cyclic border).  Orthogonal eliminations
-keep the solve stable although the linearization has a growing mode,
-which rules out condensing or transfer-matrix products.  ``relax`` is the
-one Newton driver of both methods; it holds their shared check that beta
-is positive.
+rows it forms one dense (2m - q)-square system that closes the chain, so
+the boundary rows may mix both ends (cyclic border).  The last q unknowns
+of a system may be constant over the nodes (the free boundary
+xi_eps = u4 of FBF, q = 1): their rows u_j - u_{j-1} = 0 are dropped,
+their column rides through the reduction as one more column, and they are
+solved once, in the closing system (Ascher & Russell, SIAM Rev. 23, 1981).
+Orthogonal eliminations keep the solve stable although the linearization
+has a growing mode, which rules out condensing or transfer-matrix
+products.  ``relax`` is the one Newton driver of both methods; it holds
+their shared check that beta is positive.
 """
 
 from dataclasses import dataclass
@@ -32,8 +36,10 @@ class NewtonError(Exception):
 
 class SingularJacobian(NewtonError):
     def __init__(self, where, pivot):
+        if not isinstance(where, str):
+            where = f"node {where}"
         super().__init__(f"pivot {pivot:.3g} below {PIVOT_TOL:g} "
-                         f"while eliminating node {where}")
+                         f"while eliminating {where}")
 
 
 class NewtonMaxIterations(NewtonError):
@@ -70,22 +76,29 @@ class BlockSystem:
     jacobian(V) -> (L, R, A, C) where interior equation j (1-based) has
     blocks L[j-1] on node j-1 and R[j-1] on node j, and the boundary rows
     are A on node 0 plus C on node J.
+
+    The last ``constant`` unknowns are the same at every node: their rows
+    of each interior equation read u_j - u_{j-1} = 0, blocks (-I, +I).
+    The block solve drops those rows and solves the constants once, and
+    ``newton_solve`` rejects an iterate that is not constant there.
     """
 
     J: int
     m: int
     residual: callable
     jacobian: callable
+    constant: int = 0
 
 
-def midpoint_system(widths, weights, g, dg, A, C, target):
+def midpoint_system(widths, weights, g, dg, A, C, target, constant=0):
     """BlockSystem of the midpoint scheme for V' = g(V) on J intervals.
 
     Interval j has width widths[j] and weight w_j = weights[j] on its right
     node; its equation is V_{j+1} - V_j - a_j g(w_j V_{j+1} + (1 - w_j) V_j)
     with blocks -I - a_j (1 - w_j) dg and I - a_j w_j dg.  The boundary
     rows are A V_0 + C V_J - target.  g maps states (J, m) to slopes
-    (J, m) and dg to their Jacobians (J, m, m).
+    (J, m) and dg to their Jacobians (J, m, m); the last ``constant``
+    slopes must be zero (see ``BlockSystem``).
     """
     a = np.asarray(widths, dtype=float)[:, None]
     w = np.asarray(weights, dtype=float)[:, None]
@@ -105,7 +118,7 @@ def midpoint_system(widths, weights, g, dg, A, C, target):
         return -eye - left * G, eye - right * G, A, C
 
     return BlockSystem(J=len(a), m=len(target), residual=residual,
-                       jacobian=jacobian)
+                       jacobian=jacobian, constant=constant)
 
 
 @dataclass
@@ -151,7 +164,8 @@ def _solve_upper(U, rhs):
     return out
 
 
-def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
+def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs,
+                         constant=0):
     """Solve the block linear system
 
         A x_0 + C x_J = boundary_rhs
@@ -159,53 +173,75 @@ def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
 
     for x of shape (J+1, m) by structured cyclic reduction.
 
-    A level is one chain of equations: equation q, m rows over [left |
-    right | rhs], couples nodes[q] and nodes[q+1].  Equations 2i and 2i+1
-    share nodes[2i+1]; stacked over [shared | left | right | rhs], the pair
-    is triangularized in the shared columns by Householder reflections.
-    The top m rows give the shared node from its neighbours and are kept
-    for back substitution; the bottom m rows are the reduced equation
+    With constant = q > 0 the last q unknowns p are the same at every node:
+    the last q rows of each interior equation must be (-I, +I) with a zero
+    right-hand side, and they are not read.  The reduction runs on the
+    first n = m - q unknowns y_j; equation j keeps its first n rows over
+    [left | right | P_j | rhs] with P_j = L[j-1][:n, n:] + R[j-1][:n, n:]
+    the coefficient of p.
+
+    A level is one chain of equations: equation i, n rows, couples
+    nodes[i] and nodes[i+1].  Equations 2i and 2i+1 share nodes[2i+1];
+    stacked over [shared | left | right | P | rhs], the pair is
+    triangularized in the shared columns by Householder reflections.  The
+    top n rows give the shared node from its neighbours and p and are kept
+    for back substitution; the bottom n rows are the reduced equation
     between the neighbours.  An odd equation out carries over.  The last
-    equation, between x_0 and x_J, stacked over the boundary rows closes
-    the chain as one dense 2m x 2m system, so the boundary rows may mix
-    both ends (cyclic border).  Work arrays keep the batch on the last
+    equation, between y_0 and y_J, stacked over the boundary rows
+    [A[:, :n] | C[:, :n] | A[:, n:] + C[:, n:]] closes the chain as one
+    dense (2m - q)-square system in (y_0, y_J, p), so the boundary rows may
+    mix both ends (cyclic border).  Work arrays keep the batch on the last
     axis, so every row operation runs over contiguous memory.
     """
     J, m, _ = L.shape
-    # The inputs enter as views, later levels as views of the reduced E.
-    eq = (L.transpose(1, 2, 0), R.transpose(1, 2, 0),
-          np.asarray(interior_rhs, float).T)
+    if not 0 <= constant < m:
+        raise ValueError(f"constant must lie in [0, {m}), got {constant}")
+    q, n = constant, m - constant
+    # Level 0's blocks are views of L and R, later levels views of the
+    # reduced E; the last group of columns is [P | rhs].
+    L, R = L.transpose(1, 2, 0), R.transpose(1, 2, 0)
+    rhs = np.asarray(interior_rhs, float).T[:n, None]
+    eq = (L[:n, :n], R[:n, :n],
+          np.concatenate([L[:n, n:] + R[:n, n:], rhs], axis=1))
     nodes = np.arange(J + 1)
     levels = []
     while len(nodes) > 2:
         h = (len(nodes) - 1) // 2
         even, odd = slice(0, 2 * h, 2), slice(1, 2 * h, 2)
-        left, right, rhs = eq
-        W = np.zeros((2 * m, 3 * m + 1, h))
-        W[:m, :m], W[m:, :m] = right[..., even], left[..., odd]
-        W[:m, m:2 * m], W[m:, 2 * m:3 * m] = left[..., even], right[..., odd]
-        W[:m, 3 * m], W[m:, 3 * m] = rhs[:, even], rhs[:, odd]
-        _triangularize(W, m, [nodes[odd]] * m)
-        levels.append((nodes, W[:m].copy()))
-        E = np.empty((m, 2 * m + 1, len(nodes) - 1 - h))
-        E[..., :h] = W[m:, m:]
-        E[:, :m, h:], E[:, m:2 * m, h:], E[:, 2 * m, h:] = (
+        left, right, tail = eq
+        W = np.zeros((2 * n, 3 * n + q + 1, h))
+        W[:n, :n], W[n:, :n] = right[..., even], left[..., odd]
+        W[:n, n:2 * n], W[n:, 2 * n:3 * n] = left[..., even], right[..., odd]
+        W[:n, 3 * n:], W[n:, 3 * n:] = tail[..., even], tail[..., odd]
+        _triangularize(W, n, [nodes[odd]] * n)
+        levels.append((nodes, W[:n].copy()))
+        E = np.empty((n, 2 * n + q + 1, len(nodes) - 1 - h))
+        E[..., :h] = W[n:, n:]
+        E[:, :n, h:], E[:, n:2 * n, h:], E[:, 2 * n:, h:] = (
             e[..., 2 * h:] for e in eq)
         del W  # the kept rows and E are copies: free W before the next level
-        eq = E[:, :m], E[:, m:2 * m], E[:, 2 * m]
+        eq = E[:, :n], E[:, n:2 * n], E[:, 2 * n:]
         nodes = np.concatenate([nodes[:2 * h + 1:2], nodes[2 * h + 1:]])
-    left, right, rhs = eq
-    B = np.vstack([np.hstack([left[..., 0], right[..., 0], rhs]),
-                   np.column_stack([A, C, boundary_rhs])])[..., None]
-    _triangularize(B, 2 * m, [[0]] * m + [[J]] * m)
+    left, right, tail = eq
+    B = np.vstack([np.hstack([left[..., 0], right[..., 0], tail[..., 0]]),
+                   np.column_stack([A[:, :n], C[:, :n], A[:, n:] + C[:, n:],
+                                    boundary_rhs])])[..., None]
+    _triangularize(B, 2 * n + q, [[0]] * n + [[J]] * n
+                   + [[f"the constant unknown in column {k}"]
+                      for k in range(n, m)])
+    z = _solve_upper(B[:, :2 * n + q], B[:, 2 * n + q])
     x = np.empty((m, J + 1))
-    x[:, nodes] = _solve_upper(B[:, :2 * m], B[:, 2 * m]).reshape(2, m).T
+    x[:n, nodes] = z[:2 * n].reshape(2, n).T
+    x[n:] = z[2 * n:]
+    # x holds p at every node, so the right neighbours' columns and P
+    # multiply one (m, h) slice of x.
     for chain, top in reversed(levels):
-        rhs = (top[:, 3 * m]
-               - np.einsum("ijh,jh->ih", top[:, m:2 * m], x[:, chain[:-2:2]])
-               - np.einsum("ijh,jh->ih", top[:, 2 * m:3 * m],
+        rhs = (top[:, 3 * n + q]
+               - np.einsum("ijh,jh->ih", top[:, n:2 * n],
+                           x[:n, chain[:-2:2]])
+               - np.einsum("ijh,jh->ih", top[:, 2 * n:3 * n + q],
                            x[:, chain[2::2]]))
-        x[:, chain[1:-1:2]] = _solve_upper(top[:, :m], rhs)
+        x[:n, chain[1:-1:2]] = _solve_upper(top[:, :n], rhs)
     return np.ascontiguousarray(x.T)
 
 
@@ -217,17 +253,24 @@ def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
     A non-finite residual or update raises NonFiniteIterate at once.
     ``iterate_check`` (if given) is called with each new iterate and may
     raise to abort, e.g. when an iterate leaves the admissible region.
+    The system's constant unknowns must be equal at every node of ``v0``;
+    every update keeps them so.
     """
     V = np.array(v0, dtype=float)
     if V.shape != (sys.J + 1, sys.m):
         raise ValueError(f"iterate shape {V.shape} != {(sys.J + 1, sys.m)}")
+    const = V[:, sys.m - sys.constant:]
+    if (const != const[0]).any():
+        raise ValueError(f"the constant unknowns (the last {sys.constant} "
+                         f"columns) must be equal at every node")
     update_norm = np.inf
     for it in range(1, max_iter + 1):
         interior, boundary = sys.residual(V)
         if not (np.isfinite(interior).all() and np.isfinite(boundary).all()):
             raise NonFiniteIterate(it, "residual")
         L, R, A, C = sys.jacobian(V)
-        dV = solve_bordered_block(L, R, A, C, -interior, -boundary)
+        dV = solve_bordered_block(L, R, A, C, -interior, -boundary,
+                                  sys.constant)
         if not np.isfinite(dV).all():
             raise NonFiniteIterate(it, "update")
         V = V + dV

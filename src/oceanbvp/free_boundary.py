@@ -4,9 +4,11 @@ The far condition u -> 1 is replaced by the pair u = 1, u' = eps at an
 unknown finite boundary xi_eps.  With u4 = xi_eps carried as a fourth,
 constant unknown and z = xi/u4 the problem lives on [0, 1], where it is
 discretized by the midpoint (box) scheme on a uniform z-grid and solved
-by the shared relaxation driver ``blocksolve.relax``.  ``FbfProblem``
-holds what is particular to the method: the ramp guess, the check that
-aborts on an iterate with u4 <= 0, and the solution's z -> xi map.
+by the shared relaxation driver ``blocksolve.relax``; the block solve
+takes u4 out of the node blocks and solves it once per Newton step
+(``BlockSystem.constant``).  ``FbfProblem`` holds what is particular to
+the method: the ramp guess, the check that aborts on an iterate with
+u4 <= 0, and the solution's z -> xi map.
 Decreasing eps pushes the free boundary out; a continuation driver
 warm-starts each solve from the previous one's converged iterate.
 """
@@ -34,7 +36,9 @@ class NegativeFreeBoundary(blocksolve.NewtonError):
 @dataclass(frozen=True)
 class FbfProblem:
     """One free-boundary solve: J uniform z-intervals, iterate (J+1, 4)
-    with the constant u4 = xi_eps column last."""
+    with the constant u4 = xi_eps column last.  The block solve carries u4
+    as one constant unknown, so an ``initial`` whose u4 column differs
+    between nodes is a ValueError."""
 
     params: ModelParams = ModelParams()
     kind: BcKind = BcKind.NO_SLIP
@@ -90,7 +94,7 @@ def build_system(prob):
 
     return blocksolve.midpoint_system(
         np.full(prob.J, 1.0 / prob.J), np.full(prob.J, 0.5), g, dg,
-        *model.boundary_rows(prob.kind, (1.0, prob.eps)))
+        *model.boundary_rows(prob.kind, (1.0, prob.eps)), constant=1)
 
 
 def solve_fbf(prob, initial=None):
@@ -100,11 +104,13 @@ def solve_fbf(prob, initial=None):
 
 
 def continuation_solve(prob, eps_sequence):
-    """Solve ``replace(prob, eps=e)`` for a strictly decreasing sequence of
-    eps values, each warm-started from the previous one's iterate; returns
-    one (MeshSolution, NewtonReport) per eps.  A failing stage raises its
-    NewtonError, and later stages are not attempted."""
+    """Solve ``replace(prob, eps=e)`` for a non-empty, strictly decreasing
+    sequence of eps values, each warm-started from the previous one's
+    iterate; returns one (MeshSolution, NewtonReport) per eps.  A failing
+    stage raises its NewtonError, and later stages are not attempted."""
     stages = [replace(prob, eps=e) for e in eps_sequence]
+    if not stages:
+        raise ValueError("eps_sequence must not be empty")
     if any(s2.eps >= s1.eps for s1, s2 in zip(stages, stages[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
     results = []

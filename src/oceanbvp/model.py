@@ -136,8 +136,8 @@ def approx_missing_init(kind, b):
     Rigid:    u''(0) ~ sqrt(2 / (1 + sqrt(1 + 4b/3)))
     Slippery: u'(0)  ~ 2 / (1 + sqrt(1 + 10b/3))
     """
-    if not b >= 0:
-        raise ValueError("b must be non-negative")
+    if not 0 <= b < math.inf:
+        raise ValueError("b must be finite and non-negative")
     if check_kind(kind) is BcKind.NO_SLIP:
         return math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * b / 3.0)))
     return 2.0 / (1.0 + math.sqrt(1.0 + 10.0 * b / 3.0))

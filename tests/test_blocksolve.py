@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import pathlib
 
@@ -158,6 +159,13 @@ class TestBorderedSolve:
         x = solve_bordered_block(L, R, A, C, ri, rb)
         expect = dense_solve(L, R, A, C, ri, rb)
         assert np.max(np.abs(x - expect)) / np.max(np.abs(expect)) < 1e-10
+        # The same blocks with u4 as the one constant unknown, as the
+        # Newton iteration solves them: the u4 rows' right-hand side is 0.
+        assert free_boundary.build_system(prob).constant == 1
+        ri[:, 3] = 0.0
+        x = solve_bordered_block(L, R, A, C, ri, rb, 1)
+        expect = dense_solve(L, R, A, C, ri, rb)
+        assert np.max(np.abs(x - expect)) / np.max(np.abs(expect)) < 1e-10
 
     def test_singular_interior_pair_names_its_node(self):
         # Equations 2 and 3 both drop node 3, the node they share.
@@ -176,6 +184,68 @@ class TestBorderedSolve:
         with pytest.raises(SingularJacobian, match="node 5$"):
             solve_bordered_block(L, R, zero, zero,
                                  rng.standard_normal((5, 2)), np.zeros(2))
+
+
+def constant_blocks(rng, J, m, q):
+    """random_blocks whose last q unknowns are constant over the nodes:
+    their interior rows are (-I, +I), with a zero right-hand side."""
+    L, R, A, C = random_blocks(rng, J, m)
+    L[:, m - q:], R[:, m - q:] = 0.0, 0.0
+    L[:, m - q:, m - q:] = -np.eye(q)
+    R[:, m - q:, m - q:] = np.eye(q)
+    ri = rng.standard_normal((J, m))
+    ri[:, m - q:] = 0.0
+    return L, R, A, C, ri
+
+
+class TestConstantUnknowns:
+    """``constant=q`` solves the same systems as the full solve, with the
+    last q unknowns taken out of the node blocks."""
+
+    def test_every_reduction_split_matches_dense(self):
+        rng = np.random.default_rng(17)
+        for J in range(1, 41):
+            for m, q in ((4, 1), (3, 2), (2, 1)):
+                L, R, A, C, ri = constant_blocks(rng, J, m, q)
+                rb = rng.standard_normal(m)
+                x = solve_bordered_block(L, R, A, C, ri, rb, q)
+                expect = dense_solve(L, R, A, C, ri, rb)
+                err = np.max(np.abs(x - expect)) / np.max(np.abs(expect))
+                assert err < 1e-10, (J, m, q, err)
+                assert (x[:, m - q:] == x[0, m - q:]).all(), (J, m, q)
+
+    def test_vanishing_constant_pivot_names_the_unknown(self):
+        # No equation and no boundary row sees the constant unknown, so
+        # its column of the closing system is zero.
+        rng = np.random.default_rng(19)
+        L, R, A, C, ri = constant_blocks(rng, 9, 4, 1)
+        L[:, :3, 3] = R[:, :3, 3] = 0.0
+        A[:, 3] = C[:, 3] = 0.0
+        with pytest.raises(SingularJacobian,
+                           match="while eliminating the constant unknown "
+                                 "in column 3$"):
+            solve_bordered_block(L, R, A, C, ri, rng.standard_normal(4), 1)
+
+    @pytest.mark.parametrize("constant", [-1, 4])
+    def test_count_out_of_range_rejected(self, constant):
+        rng = np.random.default_rng(20)
+        L, R, A, C, ri = constant_blocks(rng, 3, 4, 1)
+        with pytest.raises(ValueError, match="constant"):
+            solve_bordered_block(L, R, A, C, ri, np.zeros(4), constant)
+
+    def test_newton_rejects_a_varying_constant_column(self):
+        rng = np.random.default_rng(21)
+        L, R, A, C, ri = constant_blocks(rng, 4, 3, 1)
+        sys = dataclasses.replace(
+            affine_system(L, R, A, C, ri, rng.standard_normal(3)),
+            constant=1)
+        V0 = np.zeros((5, 3))
+        V0[2, 2] = 1e-12
+        with pytest.raises(ValueError, match="equal at every node"):
+            newton_solve(sys, V0, tol=1e-8)
+        V0[:, 2] = 0.5
+        V, _ = newton_solve(sys, V0, tol=1e-8)
+        assert (V[:, 2] == V[0, 2]).all()
 
 
 class TestNewtonSolve:

@@ -110,12 +110,27 @@ class TestSolve:
         res = full_residual(build_system(prob), V)
         assert np.mean(np.abs(res)) <= 10 * prob.tol
 
-    def test_free_boundary_unknown_constant_across_nodes(self):
+    def test_free_boundary_unknown_constant_across_nodes(self, fbf_b2):
+        # The block solve carries u4 as one unknown, so every iterate
+        # holds the same value at every node, bit for bit.
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=200)
         sys = build_system(prob)
         V, _ = blocksolve.newton_solve(sys, prob.initial_guess(),
                                        prob.tol)
-        assert np.max(np.abs(V[:, 3] - V[0, 3])) < 1e-9
+        assert (V[:, 3] == V[0, 3]).all()
+        iterate = fbf_b2[(BcKind.SLIP, 1e-5)][0].iterate
+        assert (iterate[:, 3] == iterate[0, 3]).all()
+
+    def test_varying_free_boundary_warm_start_is_rejected(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(blocksolve, "solve_bordered_block",
+                            lambda *args: solves.append(1))
+        prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=200)
+        guess = prob.initial_guess()
+        guess[:, 3] = np.linspace(2.0, 3.0, prob.J + 1)
+        with pytest.raises(ValueError, match="equal at every node"):
+            solve_fbf(prob, initial=guess)
+        assert solves == []
 
     def test_free_boundary_grows_as_eps_shrinks(self, fbf_b2):
         for kind in BcKind:
@@ -194,6 +209,10 @@ class TestContinuation:
         sol, rep = results[0]
         assert rep.iterations == rep_cold.iterations
         assert sol.beta == pytest.approx(sol_cold.beta, abs=1e-12)
+
+    def test_rejects_empty_sequence(self):
+        with pytest.raises(ValueError, match="empty"):
+            continuation_solve(FbfProblem(params=B2, eps=1e-2), [])
 
     def test_rejects_non_decreasing_sequence(self):
         prob = FbfProblem(params=B2, eps=1e-2)

@@ -119,6 +119,11 @@ class TestApproxMissingInit:
         with pytest.raises(ValueError):
             model.approx_missing_init(BcKind.SLIP, -0.1)
 
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_infinite_b_rejected(self, kind):
+        with pytest.raises(ValueError, match="finite"):
+            model.approx_missing_init(kind, math.inf)
+
 
 class TestMunkExact:
     def test_no_slip_origin(self):
