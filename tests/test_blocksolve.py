@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import pathlib
 
@@ -232,20 +231,6 @@ class TestConstantUnknowns:
         L, R, A, C, ri = constant_blocks(rng, 3, 4, 1)
         with pytest.raises(ValueError, match="constant"):
             solve_bordered_block(L, R, A, C, ri, np.zeros(4), constant)
-
-    def test_newton_rejects_a_varying_constant_column(self):
-        rng = np.random.default_rng(21)
-        L, R, A, C, ri = constant_blocks(rng, 4, 3, 1)
-        sys = dataclasses.replace(
-            affine_system(L, R, A, C, ri, rng.standard_normal(3)),
-            constant=1)
-        V0 = np.zeros((5, 3))
-        V0[2, 2] = 1e-12
-        with pytest.raises(ValueError, match="equal at every node"):
-            newton_solve(sys, V0, tol=1e-8)
-        V0[:, 2] = 0.5
-        V, _ = newton_solve(sys, V0, tol=1e-8)
-        assert (V[:, 2] == V[0, 2]).all()
 
 
 class TestNewtonSolve:
