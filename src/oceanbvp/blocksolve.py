@@ -1,26 +1,24 @@
 """Midpoint scheme and Newton iteration for two-point block systems.
 
-Both relaxation methods are the midpoint (box) scheme for V' = g(V), built
-by ``midpoint_system`` from interval widths, interpolation weights and
-boundary rows: one m-vector of unknowns per node j = 0..J, interior
-equation j coupling only the nodes j-1 and j, plus m boundary rows
-coupling node 0 and node J.  The Newton linear systems are solved in
-O(J m^3) by structured cyclic reduction with orthogonal factorizations
-(S. J. Wright, SIAM J. Sci. Stat. Comput. 13, 1992) on one chain of
-equations, equation q coupling nodes[q] and nodes[q+1]: each of the
-ceil(log2 J) levels eliminates every other node from pairs of neighbouring
-equations with Householder QR, batched across the pairs, until one
-equation between node 0 and node J is left.  Stacked over the boundary
-rows it forms one dense (2m - q)-square system that closes the chain, so
-the boundary rows may mix both ends (cyclic border).  The last q unknowns
-of a system may be constant over the nodes (the free boundary
-xi_eps = u4 of FBF, q = 1): their rows u_j - u_{j-1} = 0 are dropped,
-their column rides through the reduction as one more column, and they are
-solved once, in the closing system (Ascher & Russell, SIAM Rev. 23, 1981).
-Orthogonal eliminations keep the solve stable although the linearization
-has a growing mode, which rules out condensing or transfer-matrix
-products.  ``relax`` is the one Newton driver of both methods; it holds
-their shared check that beta is positive.
+Both relaxation methods are the midpoint (box) scheme, built by
+``midpoint_system`` from interval widths, interpolation weights and
+boundary rows: m unknowns per node j = 0..J, interior equation j of
+n <= m rows coupling only the nodes j-1 and j, plus m boundary rows
+coupling node 0 and node J.  The last q = m - n unknowns have no interior
+rows and are constant over the nodes, as for p' = 0 (FBF's free boundary
+u4, q = 1; Ascher & Russell, SIAM Rev. 23, 1981).  The Newton linear
+systems are solved in O(J m^3) by structured cyclic reduction with
+orthogonal factorizations (S. J. Wright, SIAM J. Sci. Stat. Comput. 13,
+1992) on one chain of equations, equation i coupling nodes[i] and
+nodes[i+1]: each of the ceil(log2 J) levels eliminates every other node
+from pairs of neighbouring equations with Householder QR, batched across
+the pairs, until one equation between node 0 and node J is left.  Stacked
+over the boundary rows it forms one dense (2m - q)-square system that
+closes the chain and gives the constants, so the boundary rows may mix
+both ends (cyclic border).  Orthogonal eliminations keep the solve stable
+although the linearization has a growing mode, which rules out condensing
+or transfer-matrix products.  ``relax`` is the one Newton driver of both
+methods; it holds their shared check that beta is positive.
 """
 
 from dataclasses import dataclass
@@ -72,33 +70,30 @@ class NonPositiveBeta(NewtonError):
 class BlockSystem:
     """Nonlinear system in (J+1) nodes of m unknowns each.
 
-    residual(V) -> (interior (J, m), boundary (m,)) for V of shape (J+1, m);
-    jacobian(V) -> (L, R, A, C) where interior equation j (1-based) has
-    blocks L[j-1] on node j-1 and R[j-1] on node j, and the boundary rows
-    are A on node 0 plus C on node J.
-
-    The last ``constant`` unknowns are the same at every node: their rows
-    of each interior equation read u_j - u_{j-1} = 0, blocks (-I, +I).
-    The block solve drops those rows and solves the constants once, and
-    ``newton_solve`` rejects an iterate that is not constant there.
+    residual(V) -> (interior (J, n), boundary (m,)) for V of shape
+    (J+1, m), 1 <= n <= m; jacobian(V) -> (L, R, A, C) where interior
+    equation j (1-based) has n x m blocks L[j-1] on node j-1 and R[j-1] on
+    node j, and the m boundary rows are A on node 0 plus C on node J.  The
+    last m - n unknowns, which no interior row determines, are constant
+    over the nodes; ``newton_solve`` rejects an initial iterate that is
+    not, and every update keeps them so.
     """
 
     J: int
     m: int
     residual: callable
     jacobian: callable
-    constant: int = 0
 
 
-def midpoint_system(widths, weights, g, dg, A, C, target, constant=0):
-    """BlockSystem of the midpoint scheme for V' = g(V) on J intervals.
+def midpoint_system(widths, weights, g, dg, A, C, target):
+    """BlockSystem of the midpoint scheme on J intervals for y' = g(V),
+    y the first n of the m unknowns (the rest are constant).
 
     Interval j has width widths[j] and weight w_j = weights[j] on its right
-    node; its equation is V_{j+1} - V_j - a_j g(w_j V_{j+1} + (1 - w_j) V_j)
-    with blocks -I - a_j (1 - w_j) dg and I - a_j w_j dg.  The boundary
-    rows are A V_0 + C V_J - target.  g maps states (J, m) to slopes
-    (J, m) and dg to their Jacobians (J, m, m); the last ``constant``
-    slopes must be zero (see ``BlockSystem``).
+    node; its n rows are y_{j+1} - y_j - a_j g(w_j V_{j+1} + (1 - w_j) V_j)
+    with blocks -I - a_j (1 - w_j) dg and I - a_j w_j dg, I = eye(n, m).
+    The boundary rows are A V_0 + C V_J - target.  g maps states (J, m) to
+    slopes (J, n), which sets n, and dg to their Jacobians (J, n, m).
     """
     a = np.asarray(widths, dtype=float)[:, None]
     w = np.asarray(weights, dtype=float)[:, None]
@@ -110,15 +105,18 @@ def midpoint_system(widths, weights, g, dg, A, C, target, constant=0):
         return w * V[1:] + (1.0 - w) * V[:-1]
 
     def residual(V):
-        interior = V[1:] - V[:-1] - a * g(interpolate(V))
+        slopes = g(interpolate(V))
+        n = slopes.shape[1]
+        interior = V[1:, :n] - V[:-1, :n] - a * slopes
         return interior, A @ V[0] + C @ V[-1] - target
 
     def jacobian(V):
         G = dg(interpolate(V))
-        return -eye - left * G, eye - right * G, A, C
+        rows = eye[:G.shape[1]]
+        return -rows - left * G, rows - right * G, A, C
 
     return BlockSystem(J=len(a), m=len(target), residual=residual,
-                       jacobian=jacobian, constant=constant)
+                       jacobian=jacobian)
 
 
 @dataclass
@@ -164,20 +162,17 @@ def _solve_upper(U, rhs):
     return out
 
 
-def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs,
-                         constant=0):
+def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
     """Solve the block linear system
 
         A x_0 + C x_J = boundary_rhs
         L[j-1] x_{j-1} + R[j-1] x_j = interior_rhs[j-1],   j = 1..J
 
-    for x of shape (J+1, m) by structured cyclic reduction.
-
-    With constant = q > 0 the last q unknowns p are the same at every node:
-    the last q rows of each interior equation must be (-I, +I) with a zero
-    right-hand side, and they are not read.  The reduction runs on the
-    first n = m - q unknowns y_j; equation j keeps its first n rows over
-    [left | right | P_j | rhs] with P_j = L[j-1][:n, n:] + R[j-1][:n, n:]
+    for x of shape (J+1, m) by structured cyclic reduction; L and R are
+    (J, n, m) with 1 <= n <= m, interior_rhs (J, n).  The last q = m - n
+    unknowns p have no interior rows and are the same at every node.  The
+    reduction runs on the first n unknowns y_j; equation j is
+    [left | right | P_j | rhs] with P_j = L[j-1][:, n:] + R[j-1][:, n:]
     the coefficient of p.
 
     A level is one chain of equations: equation i, n rows, couples
@@ -193,16 +188,19 @@ def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs,
     mix both ends (cyclic border).  Work arrays keep the batch on the last
     axis, so every row operation runs over contiguous memory.
     """
-    J, m, _ = L.shape
-    if not 0 <= constant < m:
-        raise ValueError(f"constant must lie in [0, {m}), got {constant}")
-    q, n = constant, m - constant
+    J, n, m = L.shape
+    if not 0 < n <= m:
+        raise ValueError(f"interior blocks must have 1 to {m} rows, "
+                         f"got {n}")
+    rhs = np.asarray(interior_rhs, float)
+    if rhs.shape != (J, n):
+        raise ValueError(f"interior_rhs shape {rhs.shape} != {(J, n)}")
+    q = m - n
     # Level 0's blocks are views of L and R, later levels views of the
     # reduced E; the last group of columns is [P | rhs].
     L, R = L.transpose(1, 2, 0), R.transpose(1, 2, 0)
-    rhs = np.asarray(interior_rhs, float).T[:n, None]
-    eq = (L[:n, :n], R[:n, :n],
-          np.concatenate([L[:n, n:] + R[:n, n:], rhs], axis=1))
+    eq = (L[:, :n], R[:, :n],
+          np.concatenate([L[:, n:] + R[:, n:], rhs.T[:, None]], axis=1))
     nodes = np.arange(J + 1)
     levels = []
     while len(nodes) > 2:
@@ -253,24 +251,24 @@ def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
     A non-finite residual or update raises NonFiniteIterate at once.
     ``iterate_check`` (if given) is called with each new iterate and may
     raise to abort, e.g. when an iterate leaves the admissible region.
-    The system's constant unknowns must be equal at every node of ``v0``;
-    every update keeps them so.
+    The columns past the interior residual's width n are the constant
+    unknowns: a ``v0`` not constant there is a ValueError, raised after
+    iteration 1's finiteness check.  Every update keeps them constant.
     """
     V = np.array(v0, dtype=float)
     if V.shape != (sys.J + 1, sys.m):
         raise ValueError(f"iterate shape {V.shape} != {(sys.J + 1, sys.m)}")
-    const = V[:, sys.m - sys.constant:]
-    if (const != const[0]).any():
-        raise ValueError(f"the constant unknowns (the last {sys.constant} "
-                         f"columns) must be equal at every node")
     update_norm = np.inf
     for it in range(1, max_iter + 1):
         interior, boundary = sys.residual(V)
         if not (np.isfinite(interior).all() and np.isfinite(boundary).all()):
             raise NonFiniteIterate(it, "residual")
+        n = interior.shape[1]
+        if it == 1 and (V[:, n:] != V[0, n:]).any():
+            raise ValueError(f"the constant unknowns (the last {sys.m - n} "
+                             f"columns) must be equal at every node")
         L, R, A, C = sys.jacobian(V)
-        dV = solve_bordered_block(L, R, A, C, -interior, -boundary,
-                                  sys.constant)
+        dV = solve_bordered_block(L, R, A, C, -interior, -boundary)
         if not np.isfinite(dV).all():
             raise NonFiniteIterate(it, "update")
         V = V + dV
@@ -298,14 +296,14 @@ def relax(problem, initial=None):
 
 
 def dense_jacobian_from_blocks(L, R, A, C):
-    """Assemble the dense matrix the blocks represent (small systems only)."""
-    J, m, _ = L.shape
-    n = (J + 1) * m
-    M = np.zeros((n, n))
+    """Assemble the (J n + m) x (J + 1) m matrix the n x m blocks
+    represent, square when n = m (small systems only)."""
+    J, n, m = L.shape
+    M = np.zeros((J * n + m, (J + 1) * m))
     for j in range(1, J + 1):
-        r = (j - 1) * m
-        M[r:r + m, (j - 1) * m:j * m] = L[j - 1]
-        M[r:r + m, j * m:(j + 1) * m] = R[j - 1]
-    M[J * m:, :m] = A
-    M[J * m:, J * m:] = C
+        r = (j - 1) * n
+        M[r:r + n, (j - 1) * m:j * m] = L[j - 1]
+        M[r:r + n, j * m:(j + 1) * m] = R[j - 1]
+    M[J * n:, :m] = A
+    M[J * n:, J * m:] = C
     return M

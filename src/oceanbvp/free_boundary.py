@@ -1,16 +1,15 @@
 """Free-boundary formulation solved by the box scheme.
 
 The far condition u -> 1 is replaced by the pair u = 1, u' = eps at an
-unknown finite boundary xi_eps.  With u4 = xi_eps carried as a fourth,
-constant unknown and z = xi/u4 the problem lives on [0, 1], where it is
-discretized by the midpoint (box) scheme on a uniform z-grid and solved
-by the shared relaxation driver ``blocksolve.relax``; the block solve
-takes u4 out of the node blocks and solves it once per Newton step
-(``BlockSystem.constant``).  ``FbfProblem`` holds what is particular to
-the method: the ramp guess, the check that aborts on an iterate with
-u4 <= 0, and the solution's z -> xi map.
-Decreasing eps pushes the free boundary out; a continuation driver
-warm-starts each solve from the previous one's converged iterate.
+unknown finite boundary xi_eps.  With u4 = xi_eps carried as a fourth
+unknown and z = xi/u4 the problem lives on [0, 1], where the midpoint
+(box) scheme on a uniform z-grid gives three rows per interval for
+u' = u4 f(u).  u4 has none, so the block solve holds it constant over the
+nodes and solves it once per Newton step of ``blocksolve.relax``.
+``FbfProblem`` holds what is particular to the method: the ramp guess,
+the check that aborts on an iterate with u4 <= 0, and the solution's
+z -> xi map.  Decreasing eps pushes the free boundary out; a continuation
+driver warm-starts each solve from the previous one's converged iterate.
 """
 
 import math
@@ -36,8 +35,9 @@ class NegativeFreeBoundary(blocksolve.NewtonError):
 @dataclass(frozen=True)
 class FbfProblem:
     """One free-boundary solve: J uniform z-intervals, iterate (J+1, 4)
-    with the constant u4 = xi_eps column last.  The block solve carries u4
-    as one constant unknown, so an ``initial`` whose u4 column differs
+    with the u4 = xi_eps column last.  The equations have three rows per
+    interval and none for u4, which the block solve therefore holds
+    constant over the nodes; an ``initial`` whose u4 column differs
     between nodes is a ValueError."""
 
     params: ModelParams = ModelParams()
@@ -47,6 +47,7 @@ class FbfProblem:
     tol: float = 1e-6
 
     def __post_init__(self):
+        model.check_params(self.params)
         model.check_kind(self.kind)
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
@@ -77,24 +78,23 @@ class FbfProblem:
 
 def build_system(prob):
     """BlockSystem for the box-scheme equations on the unit z-interval:
-    the midpoint scheme for V' = (u4 f(u), 0) with weights 1/2."""
+    the midpoint scheme for u' = u4 f(u) with weights 1/2, three rows per
+    interval over the four unknowns (u, u4)."""
     p = prob.params
 
     def g(V):
-        out = np.zeros(V.shape)
-        out[:, :3] = V[:, 3, None] * model.rhs(0.0, V[:, :3], p)
-        return out
+        return V[:, 3, None] * model.rhs(0.0, V[:, :3], p)
 
     def dg(V):
         u, u4 = V[:, :3], V[:, 3, None, None]
-        G = np.zeros(V.shape + (4,))
-        G[:, :3, :3] = u4 * model.rhs_jacobian(0.0, u, p)
-        G[:, :3, 3] = model.rhs(0.0, u, p)
+        G = np.empty((len(V), 3, 4))
+        G[..., :3] = u4 * model.rhs_jacobian(0.0, u, p)
+        G[..., 3] = model.rhs(0.0, u, p)
         return G
 
     return blocksolve.midpoint_system(
         np.full(prob.J, 1.0 / prob.J), np.full(prob.J, 0.5), g, dg,
-        *model.boundary_rows(prob.kind, (1.0, prob.eps)), constant=1)
+        *model.boundary_rows(prob.kind, (1.0, prob.eps)))
 
 
 def solve_fbf(prob, initial=None):

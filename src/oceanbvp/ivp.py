@@ -173,10 +173,11 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     Local error per step is held below abs_tol + rel_tol*|y| in the RMS
     norm; the third-order solution is propagated.  A non-finite ``y0``,
     ``t0`` or ``t_end`` is a ValueError: the error norm would reject every
-    step, or the steps would never reach t_end.  So is an ``rhs`` that
-    returns another number of components than ``y0`` has, raised in the
-    first step, and a ``ThirdOrder`` with a ``y0`` of another length than
-    3, raised before it.
+    step, or the steps would never reach t_end.  So is an empty ``y0``,
+    whose RMS norm would divide by zero, an ``rhs`` that returns another
+    number of components than ``y0`` has, raised in the first step, and a
+    ``ThirdOrder`` with a ``y0`` of another length than 3, raised before
+    it.
     """
     if not -math.inf < t0 < t_end < math.inf:
         raise ValueError("t0 and t_end must be finite, t_end above t0")
@@ -185,6 +186,8 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
     rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
     t = t0
     y = tuple(map(float, y0))
+    if not y:
+        raise ValueError("initial state must not be empty")
     if not all(map(math.isfinite, y)):
         raise ValueError(f"initial state must be finite, got {y}")
     if isinstance(rhs, ThirdOrder):

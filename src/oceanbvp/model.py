@@ -97,6 +97,13 @@ def check_kind(kind):
     return kind
 
 
+def check_params(params):
+    """A ``params`` that is not a ModelParams is a ValueError, raised where
+    it enters rather than at the first read of ``params.b``."""
+    if not isinstance(params, ModelParams):
+        raise ValueError(f"params must be a ModelParams, got {params!r}")
+
+
 def missing_slot(kind):
     """Index of beta in the state (u, u', u''): 2 (u''(0)) for no-slip, 1
     (u'(0)) for slip.  The other of slots 1 and 2 is zero at the coast."""

@@ -36,6 +36,7 @@ class QugProblem:
     check_iterate = None  # every iterate is admissible
 
     def __post_init__(self):
+        model.check_params(self.params)
         model.check_kind(self.kind)
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")

@@ -48,7 +48,11 @@ class ShootingProblem:
     ivp_opts: ivp.IvpOptions = ivp.IvpOptions()
 
     def __post_init__(self):
+        model.check_params(self.params)
         model.check_kind(self.kind)
+        if not isinstance(self.ivp_opts, ivp.IvpOptions):
+            raise ValueError(f"ivp_opts must be an IvpOptions, got "
+                             f"{self.ivp_opts!r}")
         if not (0 < self.xi_infinity < math.inf and 0 < self.tol < math.inf):
             raise ValueError("xi_infinity and tol must be positive and "
                              "finite")

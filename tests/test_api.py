@@ -1,9 +1,11 @@
 """The public surface of the package: its names, the settable fields of
 its problem and result types, and the checks on values entering them.
 
-A new export or option shows up here as a test diff.  Non-finite values
-(NaN and infinity) are rejected where they enter."""
+A new export or option, or a new parameter of the relaxation layer, shows
+up here as a test diff.  Non-finite values (NaN and infinity) and values
+of the wrong type are rejected where they enter."""
 
+import inspect
 import math
 from dataclasses import fields
 
@@ -15,7 +17,8 @@ from oceanbvp import (FbfProblem, IvpOptions, IvpStats, MeshSolution,
                       QugProblem, ShootingProblem, ShootingResult,
                       approx_missing_init, bc_initial, integrate,
                       solve_newton, solve_qug)
-from oceanbvp.blocksolve import NewtonReport
+from oceanbvp.blocksolve import (BlockSystem, NewtonReport, midpoint_system,
+                                 newton_solve, relax, solve_bordered_block)
 from oceanbvp.model import BcKind, ModelParams
 
 
@@ -40,9 +43,21 @@ def test_exports_are_pinned():
     (ShootingResult, ["beta", "iterations", "residual", "problem", "stats"]),
     (MeshSolution, ["xi", "u", "beta", "free_boundary", "infinity_state",
                     "iterate"]),
+    (BlockSystem, ["J", "m", "residual", "jacobian"]),
 ])
 def test_dataclass_fields_are_pinned(cls, names):
     assert [f.name for f in fields(cls)] == names
+
+
+@pytest.mark.parametrize("fn, names", [
+    (midpoint_system, ["widths", "weights", "g", "dg", "A", "C", "target"]),
+    (solve_bordered_block,
+     ["L", "R", "A", "C", "interior_rhs", "boundary_rhs"]),
+    (newton_solve, ["sys", "v0", "tol", "max_iter", "iterate_check"]),
+    (relax, ["problem", "initial"]),
+])
+def test_relaxation_parameters_are_pinned(fn, names):
+    assert list(inspect.signature(fn).parameters) == names
 
 
 def test_shooting_trajectory_is_still_readable():
@@ -91,6 +106,12 @@ INF = math.inf
     lambda: IvpOptions(max_steps=INF),
     lambda: IvpOptions(max_steps=-3),
     lambda: IvpOptions(max_steps=2.5),
+    lambda: integrate(lambda t, y: y, 0.0, 1.0, []),
+    lambda: FbfProblem(params=2.0),
+    lambda: QugProblem(params=2.0),
+    lambda: solve_qug(5.0, 20, 2.0, BcKind.SLIP),
+    lambda: ShootingProblem(params=2.0),
+    lambda: ShootingProblem(ivp_opts=None),
 ], ids=["shoot-xi-inf", "shoot-tol", "fbf-tol", "qug-c", "ivp-rel-tol",
         "ivp-abs-tol", "approx-b", "qug-tol-nan", "qug-tol-zero",
         "shoot-xi-inf-infinite", "shoot-tol-infinite", "fbf-tol-infinite",
@@ -102,7 +123,9 @@ INF = math.inf
         "qug-kind-string", "qug-solve-kind-string", "approx-kind-string",
         "bc-initial-kind-string", "ivp-max-steps-nan",
         "ivp-max-steps-infinite", "ivp-max-steps-negative",
-        "ivp-max-steps-fraction"])
+        "ivp-max-steps-fraction", "ivp-y0-empty", "fbf-params-float",
+        "qug-params-float", "qug-solve-params-float", "shoot-params-float",
+        "shoot-ivp-opts-none"])
 def test_nan_is_rejected_where_it_enters(make):
     with pytest.raises(ValueError):
         make()

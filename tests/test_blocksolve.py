@@ -39,10 +39,24 @@ def affine_system(L, R, A, C, d_interior, d_boundary):
     return BlockSystem(J=J, m=m, residual=residual, jacobian=jacobian)
 
 
+def square_blocks(L, R):
+    """n x m blocks completed to m x m by the rows p_j - p_{j-1} = 0,
+    blocks (-I, +I), of the last q = m - n unknowns p."""
+    J, n, m = L.shape
+    pad = np.zeros((J, m - n, m))
+    pad[:, :, n:] = np.eye(m - n)
+    return (np.concatenate([L, -pad], axis=1),
+            np.concatenate([R, pad], axis=1))
+
+
 def dense_solve(L, R, A, C, interior_rhs, boundary_rhs):
-    J, m, _ = L.shape
-    M = dense_jacobian_from_blocks(L, R, A, C)
-    rhs = np.concatenate([np.asarray(interior_rhs).ravel(), boundary_rhs])
+    """np.linalg.solve on the dense matrix of the square completion, the
+    completed rows with a zero right-hand side."""
+    J, n, m = L.shape
+    M = dense_jacobian_from_blocks(*square_blocks(L, R), A, C)
+    ri = np.zeros((J, m))
+    ri[:, :n] = interior_rhs
+    rhs = np.concatenate([ri.ravel(), boundary_rhs])
     return np.linalg.solve(M, rhs).reshape(J + 1, m)
 
 
@@ -152,18 +166,19 @@ class TestBorderedSolve:
         sol, _ = free_boundary.solve_fbf(prob)
         V = np.column_stack([sol.u, np.full(prob.J + 1, sol.free_boundary)])
         L, R, A, C = free_boundary.build_system(prob).jacobian(V)
+        assert L.shape == R.shape == (prob.J, 3, 4)
         rng = np.random.default_rng(12)
         ri = rng.standard_normal((prob.J, 4))
         rb = rng.standard_normal(4)
-        x = solve_bordered_block(L, R, A, C, ri, rb)
-        expect = dense_solve(L, R, A, C, ri, rb)
+        # Square: with the rows u4_j - u4_{j-1} = ri[:, 3] added.
+        Ls, Rs = square_blocks(L, R)
+        x = solve_bordered_block(Ls, Rs, A, C, ri, rb)
+        expect = dense_solve(Ls, Rs, A, C, ri, rb)
         assert np.max(np.abs(x - expect)) / np.max(np.abs(expect)) < 1e-10
-        # The same blocks with u4 as the one constant unknown, as the
-        # Newton iteration solves them: the u4 rows' right-hand side is 0.
-        assert free_boundary.build_system(prob).constant == 1
-        ri[:, 3] = 0.0
-        x = solve_bordered_block(L, R, A, C, ri, rb, 1)
-        expect = dense_solve(L, R, A, C, ri, rb)
+        # The three rows per interval, as the Newton iteration solves them,
+        # with u4 the one constant unknown.
+        x = solve_bordered_block(L, R, A, C, ri[:, :3], rb)
+        expect = dense_solve(L, R, A, C, ri[:, :3], rb)
         assert np.max(np.abs(x - expect)) / np.max(np.abs(expect)) < 1e-10
 
     def test_singular_interior_pair_names_its_node(self):
@@ -186,20 +201,16 @@ class TestBorderedSolve:
 
 
 def constant_blocks(rng, J, m, q):
-    """random_blocks whose last q unknowns are constant over the nodes:
-    their interior rows are (-I, +I), with a zero right-hand side."""
+    """random_blocks with n = m - q rows per interior equation, so that
+    the last q unknowns are constant over the nodes."""
     L, R, A, C = random_blocks(rng, J, m)
-    L[:, m - q:], R[:, m - q:] = 0.0, 0.0
-    L[:, m - q:, m - q:] = -np.eye(q)
-    R[:, m - q:, m - q:] = np.eye(q)
     ri = rng.standard_normal((J, m))
-    ri[:, m - q:] = 0.0
-    return L, R, A, C, ri
+    return L[:, :m - q], R[:, :m - q], A, C, ri[:, :m - q]
 
 
 class TestConstantUnknowns:
-    """``constant=q`` solves the same systems as the full solve, with the
-    last q unknowns taken out of the node blocks."""
+    """n x m blocks solve the same systems as their square completion,
+    with the last q = m - n unknowns taken out of the node blocks."""
 
     def test_every_reduction_split_matches_dense(self):
         rng = np.random.default_rng(17)
@@ -207,7 +218,7 @@ class TestConstantUnknowns:
             for m, q in ((4, 1), (3, 2), (2, 1)):
                 L, R, A, C, ri = constant_blocks(rng, J, m, q)
                 rb = rng.standard_normal(m)
-                x = solve_bordered_block(L, R, A, C, ri, rb, q)
+                x = solve_bordered_block(L, R, A, C, ri, rb)
                 expect = dense_solve(L, R, A, C, ri, rb)
                 err = np.max(np.abs(x - expect)) / np.max(np.abs(expect))
                 assert err < 1e-10, (J, m, q, err)
@@ -218,19 +229,30 @@ class TestConstantUnknowns:
         # its column of the closing system is zero.
         rng = np.random.default_rng(19)
         L, R, A, C, ri = constant_blocks(rng, 9, 4, 1)
-        L[:, :3, 3] = R[:, :3, 3] = 0.0
+        L[:, :, 3] = R[:, :, 3] = 0.0
         A[:, 3] = C[:, 3] = 0.0
         with pytest.raises(SingularJacobian,
                            match="while eliminating the constant unknown "
                                  "in column 3$"):
-            solve_bordered_block(L, R, A, C, ri, rng.standard_normal(4), 1)
+            solve_bordered_block(L, R, A, C, ri, rng.standard_normal(4))
 
     @pytest.mark.parametrize("constant", [-1, 4])
     def test_count_out_of_range_rejected(self, constant):
-        rng = np.random.default_rng(20)
-        L, R, A, C, ri = constant_blocks(rng, 3, 4, 1)
-        with pytest.raises(ValueError, match="constant"):
-            solve_bordered_block(L, R, A, C, ri, np.zeros(4), constant)
+        # The count q = m - n outside [0, m): blocks with more rows than
+        # unknowns, or with none.
+        n = 4 - constant
+        L, R = np.random.default_rng(20).standard_normal((2, 3, n, 4))
+        with pytest.raises(ValueError, match="interior blocks must have 1 "
+                                             "to 4 rows"):
+            solve_bordered_block(L, R, np.eye(4), np.eye(4),
+                                 np.zeros((3, n)), np.zeros(4))
+
+    def test_square_right_hand_side_rejected(self):
+        # three rows per equation take a (J, 3) right-hand side
+        rng = np.random.default_rng(21)
+        L, R, A, C, _ = constant_blocks(rng, 3, 4, 1)
+        with pytest.raises(ValueError, match=r"interior_rhs shape \(3, 4\)"):
+            solve_bordered_block(L, R, A, C, np.zeros((3, 4)), np.zeros(4))
 
 
 class TestNewtonSolve:
@@ -361,6 +383,15 @@ class TestRelax:
         J = 40 if method != initial else 20
         with pytest.raises(ValueError, match="iterate shape"):
             RELAX_SOLVES[method](J, iterates[initial])
+        assert linear_solves == []
+
+    @pytest.mark.parametrize("method", sorted(RELAX_SOLVES))
+    def test_non_finite_initial_fails_in_first_iteration(
+            self, iterates, linear_solves, method):
+        # for FBF before the check that u4 is constant, which NaN fails
+        initial = np.full_like(iterates[method], np.nan)
+        with pytest.raises(NonFiniteIterate, match="iteration 1$"):
+            RELAX_SOLVES[method](40, initial)
         assert linear_solves == []
 
     def test_non_positive_beta_is_raised_in_one_place(self):

@@ -45,17 +45,17 @@ class TestResidual:
 
     def test_constant_state_hand_evaluated(self):
         # midpoint rule on a constant profile V = (1, eps, 0, L): every
-        # interval contributes -dz * L * (eps, 0, b*eps^2, 0), and the
-        # left boundary row u1(0) = 1 is violated.
+        # interval contributes the three rows -dz * L * (eps, 0, b*eps^2),
+        # and the left boundary row u1(0) = 1 is violated.
         eps, L, J = 1e-2, 3.0, 5
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=eps, J=J)
         V = np.tile([1.0, eps, 0.0, L], (J + 1, 1))
         res = full_residual(build_system(prob), V)
         dz = 1.0 / J
-        row = -dz * L * np.array([eps, 0.0, B2.b * eps**2, 0.0])
-        np.testing.assert_allclose(res[:4 * J].reshape(J, 4),
+        row = -dz * L * np.array([eps, 0.0, B2.b * eps**2])
+        np.testing.assert_allclose(res[:3 * J].reshape(J, 3),
                                    np.tile(row, (J, 1)), atol=1e-15)
-        np.testing.assert_allclose(res[4 * J:], [1.0, eps, 0.0, 0.0],
+        np.testing.assert_allclose(res[3 * J:], [1.0, eps, 0.0, 0.0],
                                    atol=1e-15)
 
     def test_two_interval_instance_against_hand_expansion(self):
@@ -66,13 +66,13 @@ class TestResidual:
         for j in (1, 2):
             avg = 0.5 * (V[j] + V[j - 1])
             f = model.rhs(0.0, avg[:3], B2)
-            expect = V[j] - V[j - 1] \
+            expect = V[j, :3] - V[j - 1, :3] \
                 - 0.5 * np.array([avg[3] * f[0], avg[3] * f[1],
-                                  avg[3] * f[2], 0.0])
-            np.testing.assert_allclose(res[4 * (j - 1):4 * j], expect,
+                                  avg[3] * f[2]])
+            np.testing.assert_allclose(res[3 * (j - 1):3 * j], expect,
                                        atol=1e-14)
         np.testing.assert_allclose(
-            res[8:], [V[0, 0], V[0, 2], V[2, 0] - 1.0, V[2, 1] - 1e-2])
+            res[6:], [V[0, 0], V[0, 2], V[2, 0] - 1.0, V[2, 1] - 1e-2])
 
     def test_analytic_jacobian_matches_finite_differences(self):
         prob = FbfProblem(params=B2, kind=BcKind.NO_SLIP, eps=1e-2, J=12)
