@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-13
+MAX_ITERATIONS = 100
 
 
 class NewtonError(Exception):
@@ -169,11 +170,12 @@ def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
         L[j-1] x_{j-1} + R[j-1] x_j = interior_rhs[j-1],   j = 1..J
 
     for x of shape (J+1, m) by structured cyclic reduction; L and R are
-    (J, n, m) with 1 <= n <= m, interior_rhs (J, n).  The last q = m - n
-    unknowns p have no interior rows and are the same at every node.  The
-    reduction runs on the first n unknowns y_j; equation j is
-    [left | right | P_j | rhs] with P_j = L[j-1][:, n:] + R[j-1][:, n:]
-    the coefficient of p.
+    (J, n, m) with J >= 1 and 1 <= n <= m, A and C (m, m), interior_rhs
+    (J, n) and boundary_rhs (m,), other shapes a ValueError.  The last
+    q = m - n unknowns p have no interior rows and are the same at every
+    node.  The reduction runs on the first n unknowns y_j; equation j is
+    [left | right | P_j | rhs] with P_j = L[j-1][:, n:] + R[j-1][:, n:] the
+    coefficient of p.
 
     A level is one chain of equations: equation i, n rows, couples
     nodes[i] and nodes[i+1].  Equations 2i and 2i+1 share nodes[2i+1];
@@ -189,12 +191,15 @@ def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
     axis, so every row operation runs over contiguous memory.
     """
     J, n, m = L.shape
-    if not 0 < n <= m:
-        raise ValueError(f"interior blocks must have 1 to {m} rows, "
-                         f"got {n}")
+    if not (J > 0 and 0 < n <= m):
+        raise ValueError(f"interior blocks must have 1 to {m} rows, and "
+                         f"J >= 1: L shape {L.shape}")
     rhs = np.asarray(interior_rhs, float)
-    if rhs.shape != (J, n):
-        raise ValueError(f"interior_rhs shape {rhs.shape} != {(J, n)}")
+    for name, x, shape in (("R", R, L.shape), ("A", A, (m, m)),
+                           ("C", C, (m, m)), ("interior_rhs", rhs, (J, n)),
+                           ("boundary_rhs", boundary_rhs, (m,))):
+        if np.shape(x) != shape:
+            raise ValueError(f"{name} shape {np.shape(x)} != {shape}")
     q = m - n
     # Level 0's blocks are views of L and R, later levels views of the
     # reduced E; the last group of columns is [P | rhs].
@@ -243,9 +248,10 @@ def solve_bordered_block(L, R, A, C, interior_rhs, boundary_rhs):
     return np.ascontiguousarray(x.T)
 
 
-def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
+def newton_solve(sys, v0, tol, iterate_check=None):
     """Full-step Newton on a BlockSystem; stops on the mean absolute
-    update criterion  mean|dV| <= tol.
+    update criterion  mean|dV| <= tol, or raises NewtonMaxIterations
+    after MAX_ITERATIONS iterations.
 
     The iteration count equals the number of linear solves performed.
     A non-finite residual or update raises NonFiniteIterate at once.
@@ -259,7 +265,7 @@ def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
     if V.shape != (sys.J + 1, sys.m):
         raise ValueError(f"iterate shape {V.shape} != {(sys.J + 1, sys.m)}")
     update_norm = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         interior, boundary = sys.residual(V)
         if not (np.isfinite(interior).all() and np.isfinite(boundary).all()):
             raise NonFiniteIterate(it, "residual")
@@ -278,7 +284,7 @@ def newton_solve(sys, v0, tol, max_iter=100, iterate_check=None):
         if update_norm <= tol:
             return V, NewtonReport(iterations=it,
                                    final_update_norm=update_norm)
-    raise NewtonMaxIterations(max_iter, update_norm)
+    raise NewtonMaxIterations(MAX_ITERATIONS, update_norm)
 
 
 def relax(problem, initial=None):

@@ -97,10 +97,7 @@ def build_system(prob):
         *model.boundary_rows(prob.kind, (1.0, prob.eps)))
 
 
-def solve_fbf(prob, initial=None):
-    """Solve one ``FbfProblem`` by ``blocksolve.relax``; returns
-    (MeshSolution, NewtonReport)."""
-    return blocksolve.relax(prob, initial)
+solve_fbf = blocksolve.relax  # the shared Newton solve, by the method's name
 
 
 def continuation_solve(prob, eps_sequence):

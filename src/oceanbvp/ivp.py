@@ -11,9 +11,9 @@ tuple of Python floats: on vectors this small, per-call numpy overhead
 would cost several times the arithmetic.  The three-component system is
 a scalar third-order ODE in companion form, ``ThirdOrder``, and runs in
 one fused loop on scalar locals that calls only its third slope
-component; every other rhs takes the tuple step ``step_bs23``, whose
-stages are comprehensions.  Both do the same floating-point operations
-in the same order, so they give the same bits.
+component; every other rhs takes the tuple step ``step_bs23`` from the
+FSAL slope, with stages as comprehensions.  Both do the same
+floating-point operations in the same order, so they give the same bits.
 """
 
 import math
@@ -99,21 +99,16 @@ class ThirdOrder:
         return (y2, y3, self.g(y1, y2, y3, self.p))
 
 
-def step_bs23(rhs, t, y, h, f_start=None):
-    """One embedded BS23 step of size h from (t, y).
+def step_bs23(rhs, t, y, h, f_start):
+    """One embedded BS23 step of size h from (t, y), three evaluations.
 
-    ``y`` is a sequence of floats and ``rhs(t, y)`` receives a tuple and
-    returns a sequence of floats.  Returns (second-order solution,
-    third-order solution, new evaluations, final slope) with both
-    solutions as tuples.  The final slope is f at the third-order solution
-    and can be reused as ``f_start`` of the next step (FSAL); when
-    ``f_start`` is omitted it is computed here, adding one evaluation.
-    A slope of another length than ``y`` is a ValueError.
+    ``y`` is a sequence of floats, ``f_start`` the slope f(t, y) (FSAL:
+    the previous step's final slope), and ``rhs(t, y)`` receives a tuple
+    and returns a sequence of floats.  Returns (second-order solution,
+    third-order solution, final slope) with both solutions as tuples.  The
+    final slope is f at the third-order solution, the next step's
+    ``f_start``.  A slope of another length than ``y`` is a ValueError.
     """
-    nev = 3
-    if f_start is None:
-        f_start = rhs(t, y)
-        nev = 4
     k1 = f_start
     a = 0.5 * h
     k2 = rhs(t + a, tuple([v + a * d for v, d in zip(y, k1)]))
@@ -129,7 +124,7 @@ def step_bs23(rhs, t, y, h, f_start=None):
     y2 = tuple([v + h * ((7.0 / 24.0) * d1 + 0.25 * d2 + (1.0 / 3.0) * d3
                          + 0.125 * d4)
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4, strict=True)])
-    return y2, y3, nev, k4
+    return y2, y3, k4
 
 
 def _first_step(y0, f0, t_span, opts):
@@ -205,7 +200,7 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
             landing = h >= t_next - t
             if landing:
                 h = t_next - t
-            y2, y3, _, f3 = step_bs23(rhs, t, y, h, f)
+            y2, y3, f3 = step_bs23(rhs, t, y, h, f)
             nev += 3
             # RMS norm of the error, each component scaled by abs_tol +
             # rel_tol * max(|y|, |y3|), and the magnitude max |y3|.

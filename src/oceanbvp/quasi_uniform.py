@@ -99,7 +99,7 @@ def build_system(prob):
         *model.boundary_rows(prob.kind, (1.0,)))
 
 
-def solve_qug(c, J, params, kind, tol=1e-6, initial=None):
+def solve_qug(c, J, params, kind, tol=QugProblem.tol, initial=None):
     """Solve ``QugProblem(params, kind, c, J, tol)`` by ``blocksolve.relax``;
     returns (MeshSolution, NewtonReport)."""
     return blocksolve.relax(QugProblem(params, kind, c=c, J=J, tol=tol),

@@ -1,8 +1,8 @@
 """The public surface of the package: its names, the settable fields of
 its problem and result types, and the checks on values entering them.
 
-A new export or option, or a new parameter of the relaxation layer, shows
-up here as a test diff.  Non-finite values (NaN and infinity) and values
+A new export or option, or a new parameter of the relaxation layer or of
+the BS23 step, shows up here as a test diff.  Non-finite values (NaN and infinity) and values
 of the wrong type are rejected where they enter."""
 
 import inspect
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oceanbvp
+from oceanbvp import free_boundary, ivp
 from oceanbvp import (FbfProblem, IvpOptions, IvpStats, MeshSolution,
                       QugProblem, ShootingProblem, ShootingResult,
                       approx_missing_init, bc_initial, integrate,
@@ -53,11 +54,21 @@ def test_dataclass_fields_are_pinned(cls, names):
     (midpoint_system, ["widths", "weights", "g", "dg", "A", "C", "target"]),
     (solve_bordered_block,
      ["L", "R", "A", "C", "interior_rhs", "boundary_rhs"]),
-    (newton_solve, ["sys", "v0", "tol", "max_iter", "iterate_check"]),
+    (newton_solve, ["sys", "v0", "tol", "iterate_check"]),
     (relax, ["problem", "initial"]),
 ])
 def test_relaxation_parameters_are_pinned(fn, names):
     assert list(inspect.signature(fn).parameters) == names
+
+
+def test_solve_fbf_is_relax():
+    assert free_boundary.solve_fbf is relax
+
+
+def test_bs23_step_takes_its_slope():
+    params = inspect.signature(ivp.step_bs23).parameters
+    assert list(params) == ["rhs", "t", "y", "h", "f_start"]
+    assert all(p.default is p.empty for p in params.values())
 
 
 def test_shooting_trajectory_is_still_readable():

@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -247,12 +248,23 @@ class TestConstantUnknowns:
             solve_bordered_block(L, R, np.eye(4), np.eye(4),
                                  np.zeros((3, n)), np.zeros(4))
 
-    def test_square_right_hand_side_rejected(self):
-        # three rows per equation take a (J, 3) right-hand side
-        rng = np.random.default_rng(21)
-        L, R, A, C, _ = constant_blocks(rng, 3, 4, 1)
-        with pytest.raises(ValueError, match=r"interior_rhs shape \(3, 4\)"):
-            solve_bordered_block(L, R, A, C, np.zeros((3, 4)), np.zeros(4))
+    @pytest.mark.parametrize("arg, shape", [
+        ("interior_rhs", (3, 4)), ("L", (0, 3, 4)), ("R", (2, 3, 4)),
+        ("A", (3, 3)), ("C", (3, 4)), ("boundary_rhs", (3,)),
+        ("boundary_rhs", (5,))],
+        ids=["square-interior-rhs", "no-equations", "R-short", "A-3x3",
+             "C-3x4", "boundary-short", "boundary-long"])
+    def test_mismatched_shape_names_the_argument(self, arg, shape):
+        # Three rows per equation over four unknowns, J = 3, and one
+        # argument of another shape: a square (J, 4) right-hand side, an
+        # empty L (J = 0), or blocks and boundary data that do not fit.
+        L, R, A, C, ri = constant_blocks(np.random.default_rng(21), 3, 4, 1)
+        args = dict(L=L, R=R, A=A, C=C, interior_rhs=ri,
+                    boundary_rhs=np.zeros(4))
+        args[arg] = np.ones(shape)
+        with pytest.raises(ValueError,
+                           match=f"{arg} shape {re.escape(str(shape))}"):
+            solve_bordered_block(**args)
 
 
 class TestNewtonSolve:
@@ -297,8 +309,10 @@ class TestNewtonSolve:
             return L, R, A, C
 
         sys = BlockSystem(J=3, m=1, residual=residual, jacobian=jacobian)
-        with pytest.raises(NewtonMaxIterations):
-            newton_solve(sys, np.full((4, 1), 0.5), tol=1e-12, max_iter=10)
+        with pytest.raises(NewtonMaxIterations,
+                           match=f"no convergence in "
+                                 f"{blocksolve.MAX_ITERATIONS} Newton"):
+            newton_solve(sys, np.full((4, 1), 0.5), tol=1e-12)
 
     def test_nan_residual_fails_in_first_iteration(self):
         solves = []
@@ -313,7 +327,7 @@ class TestNewtonSolve:
 
         sys = BlockSystem(J=3, m=1, residual=residual, jacobian=jacobian)
         with pytest.raises(NonFiniteIterate, match="iteration 1$") as err:
-            newton_solve(sys, np.zeros((4, 1)), tol=1e-8, max_iter=50)
+            newton_solve(sys, np.zeros((4, 1)), tol=1e-8)
         assert err.value.iteration == 1
         assert solves == []
 

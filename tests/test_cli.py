@@ -163,6 +163,13 @@ class TestSolve:
         assert err.startswith("solver failure: ")
         assert "non-positive beta" in err
 
+    def test_shooting_iteration_cap_is_exit_one(self, capsys):
+        code, _, err = run(capsys, "solve", "--method", "shoot-newton",
+                           "--beta0", "0.9", "--tol", "1e-300")
+        assert code == 1
+        assert err.startswith("solver failure: newton did not converge in "
+                              "50 iterations")
+
     def test_non_solver_exception_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a solver failure")

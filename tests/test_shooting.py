@@ -143,6 +143,26 @@ class TestNewton:
             assert err.value.beta is not None
 
 
+class TestTypedFailures:
+    def test_equal_residuals_are_a_degenerate_secant(self):
+        # u1(0.01) is about beta * 5e-5, so seeds 1e-12 apart give
+        # residuals about 5e-17 apart, below the 1e-14 floor
+        with pytest.raises(shooting.DegenerateSecant):
+            shooting.solve_secant(1.0, 1.0 + 1e-12,
+                                  ShootingProblem(xi_infinity=0.01))
+
+    def test_vanishing_derivative_is_singular(self):
+        # F'(beta) = u4(xi_infinity) is about xi_infinity^2 / 2 = 5e-17
+        with pytest.raises(shooting.SingularDerivative, match="5e-17"):
+            shooting.solve_newton(1.0, ShootingProblem(xi_infinity=1e-8))
+
+    def test_unreachable_tolerance_hits_the_cap(self):
+        with pytest.raises(shooting.MaxIterations,
+                           match=f"newton did not converge in "
+                                 f"{shooting.MAX_ITERATIONS} iterations"):
+            shooting.solve_newton(0.9, ShootingProblem(tol=1e-300))
+
+
 class TestPublishedWorkCounts:
     # Exact iterations and IvpStats of the four published shooting rows,
     # from their published seeds at the default tolerances.  A faster
