@@ -80,23 +80,6 @@ def _rhs3(prob):
     return ivp.ThirdOrder(model.forcing, prob.params.b)
 
 
-def _rhs6(prob):
-    p = prob.params
-    return lambda t, y: model.rhs_variational(t, y, p)
-
-
-def _integrate(prob, rhs, y0, beta, stats):
-    """Run one IVP to xi_infinity, accumulating stats; on divergence the
-    Overflow is re-raised with the offending beta attached."""
-    try:
-        y, st = ivp.integrate(rhs, 0.0, prob.xi_infinity, y0, prob.ivp_opts)
-    except ivp.Overflow as err:
-        err.beta = beta
-        raise
-    stats.add(st)
-    return y
-
-
 def _converged(beta, beta_prev, F, tol):
     # Conjunction of the relative beta-update test and the residual test;
     # neither alone terminates the iteration.  The relative test is taken
@@ -122,54 +105,64 @@ def _dense_trajectory(beta, prob):
     return MeshSolution(xi=xi, u=np.vstack([y0, u]), beta=beta)
 
 
+def _shoot(method, prob, seeds, y0, step):
+    """The one shooting loop.  A point is (beta, F, y), y the state at
+    xi_infinity from ``y0(beta)``: three components (secant) or six with
+    the sensitivity (Newton).  Iteration k is the k-th ``step`` from the
+    last two points, then its integration; seeds are not iterations."""
+    p, stats = prob.params, ivp.IvpStats()
+    rhs = (_rhs3(prob) if method == "secant"
+           else lambda t, y: model.rhs_variational(t, y, p))
+
+    def point(beta):
+        try:
+            y, st = ivp.integrate(rhs, 0.0, prob.xi_infinity, y0(beta),
+                                  prob.ivp_opts)
+        except ivp.Overflow as err:
+            err.beta = beta
+            raise
+        stats.add(st)
+        return beta, y[0] - 1.0, y
+
+    last = [None, *map(point, seeds)][-2:]  # Newton's seed has no predecessor
+    for it in range(1, MAX_ITERATIONS + 1):
+        last = [last[1], point(step(*last))]
+        (beta_prev, _, _), (beta, F, _) = last
+        if _converged(beta, beta_prev, F, prob.tol):
+            return ShootingResult(beta=beta, iterations=it, residual=abs(F),
+                                  problem=prob, stats=stats)
+    raise MaxIterations(method, MAX_ITERATIONS, beta)
+
+
 def solve_secant(beta0, beta1, prob):
     """Secant iteration on F(beta); seeds beta0 != beta1 are not counted
     as iterations."""
     if beta0 == beta1:
         raise ValueError("secant seeds must differ")
-    stats = ivp.IvpStats()
-    rhs = _rhs3(prob)
 
-    def F(beta):
-        y = _integrate(prob, rhs, model.bc_initial(prob.kind, beta),
-                       beta, stats)
-        return y[0] - 1.0
-
-    b_prev, b_cur = beta0, beta1
-    f_prev, f_cur = F(beta0), F(beta1)
-    for it in range(1, MAX_ITERATIONS + 1):
+    def step(prev, cur):
+        (b_prev, f_prev, _), (b_cur, f_cur, _) = prev, cur
         if abs(f_cur - f_prev) < 1e-14:
             raise DegenerateSecant(
                 f"|F({b_cur:.8g}) - F({b_prev:.8g})| < 1e-14")
-        b_next = b_cur - f_cur * (b_cur - b_prev) / (f_cur - f_prev)
-        b_prev, f_prev = b_cur, f_cur
-        b_cur = b_next
-        f_cur = F(b_cur)
-        if _converged(b_cur, b_prev, f_cur, prob.tol):
-            return ShootingResult(beta=b_cur, iterations=it,
-                                  residual=abs(f_cur), problem=prob,
-                                  stats=stats)
-    raise MaxIterations("secant", MAX_ITERATIONS, b_cur)
+        return b_cur - f_cur * (b_cur - b_prev) / (f_cur - f_prev)
+
+    return _shoot("secant", prob, (beta0, beta1),
+                  lambda beta: model.bc_initial(prob.kind, beta), step)
 
 
 def solve_newton(beta0, prob):
     """Newton iteration on F(beta), with F and F' obtained from a single
     integration of the six-equation system per iterate."""
-    stats = ivp.IvpStats()
-    rhs = _rhs6(prob)
-    beta = beta0
-    beta_prev = None
-    for it in range(MAX_ITERATIONS + 1):
-        y0 = np.concatenate([model.bc_initial(prob.kind, beta),
-                             model.sensitivity_initial(prob.kind)])
-        y = _integrate(prob, rhs, y0, beta, stats)
-        F, dF = y[0] - 1.0, y[3]
-        if beta_prev is not None and _converged(beta, beta_prev, F, prob.tol):
-            return ShootingResult(beta=beta, iterations=it,
-                                  residual=abs(F), problem=prob,
-                                  stats=stats)
+    def y0(beta):
+        return np.concatenate([model.bc_initial(prob.kind, beta),
+                               model.sensitivity_initial(prob.kind)])
+
+    def step(_, cur):
+        beta, F, y = cur
+        dF = y[3]
         if abs(dF) < 1e-14:
             raise SingularDerivative(f"|F'({beta:.8g})| = {abs(dF):.3g}")
-        beta_prev = beta
-        beta = beta - F / dF
-    raise MaxIterations("newton", MAX_ITERATIONS, beta)
+        return beta - F / dF
+
+    return _shoot("newton", prob, (beta0,), y0, step)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oceanbvp import ivp, model, shooting
+from oceanbvp.benchmarks import SHOOTING_SEEDS
 from oceanbvp.model import BcKind, ModelParams
 from oceanbvp.shooting import ShootingProblem, _converged
 from oracles import shoot_residual
@@ -161,6 +162,47 @@ class TestTypedFailures:
                            match=f"newton did not converge in "
                                  f"{shooting.MAX_ITERATIONS} iterations"):
             shooting.solve_newton(0.9, ShootingProblem(tol=1e-300))
+
+
+@pytest.fixture
+def initial_states(monkeypatch):
+    """A list that gains the initial state of every ``ivp.integrate``
+    call."""
+    states = []
+    integrate = ivp.integrate
+
+    def spy(rhs, t0, t_end, y0, *args, **kwargs):
+        states.append(np.array(y0))
+        return integrate(rhs, t0, t_end, y0, *args, **kwargs)
+
+    monkeypatch.setattr(ivp, "integrate", spy)
+    return states
+
+
+class TestWorkAccounting:
+    # Each seed and each iteration is one integration to xi_infinity;
+    # the seeds are not counted as iterations.
+    def test_newton_integrates_seed_and_iterates(self, initial_states):
+        beta0, _ = SHOOTING_SEEDS[("shoot-newton", BcKind.NO_SLIP)]
+        res = shooting.solve_newton(beta0, ShootingProblem(params=B2))
+        assert len(initial_states) == res.iterations + 1 == 8
+
+    def test_secant_integrates_seeds_and_iterates(self, initial_states):
+        beta0, beta1 = SHOOTING_SEEDS[("shoot-secant", BcKind.NO_SLIP)]
+        res = shooting.solve_secant(beta0, beta1, ShootingProblem(params=B2))
+        assert len(initial_states) == res.iterations + 2 == 13
+
+    def test_cap_reports_the_last_evaluated_beta(self, initial_states):
+        with pytest.raises(shooting.MaxIterations) as err:
+            shooting.solve_newton(0.9, ShootingProblem(tol=1e-300))
+        assert len(initial_states) == shooting.MAX_ITERATIONS + 1
+        slot = model.missing_slot(BcKind.NO_SLIP)
+        assert err.value.beta == initial_states[-1][slot]
+
+    def test_secant_overflow_names_its_seed(self):
+        with pytest.raises(ivp.Overflow) as err:
+            shooting.solve_secant(0.8, 0.81, ShootingProblem())
+        assert err.value.beta == 0.8
 
 
 class TestPublishedWorkCounts:
