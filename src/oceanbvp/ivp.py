@@ -9,19 +9,20 @@ evaluations) is reported so shooting costs can be compared.
 The states of shooting have three or six components, so the state is a
 tuple of Python floats: on vectors this small, per-call numpy overhead
 would cost several times the arithmetic.  The three-component system is
-a scalar third-order ODE in companion form, ``ThirdOrder``, and runs in
-one fused loop on scalar locals that calls only its third slope
-component; every other rhs takes the tuple step ``step_bs23`` from the
-FSAL slope, with stages as comprehensions.  Both do the same
-floating-point operations in the same order, so they give the same bits.
+the model's third-order ODE in companion form, ``ThirdOrder``, and runs
+in one fused loop on scalar locals with ``model.forcing`` written inline;
+every other rhs takes the tuple step ``step_bs23`` from the FSAL slope,
+with stages as comprehensions.  Both do the same floating-point
+operations in the same order, so they give the same bits.
 """
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import model
 
 OVERFLOW_LIMIT = 1e12
 
@@ -88,15 +89,14 @@ class IvpStats:
 
 @dataclass(frozen=True)
 class ThirdOrder:
-    """The companion form y' = (y2, y3, g(y1, y2, y3, p)) of a scalar
-    third-order ODE.  Called as ``rhs(t, y)`` it is an ordinary
-    right-hand side; ``integrate`` runs it in a loop of its own."""
-    g: Callable
-    p: float
+    """The model's ODE in companion form, y' = (y2, y3, model.forcing(y1,
+    y2, y3, b)).  Called as ``rhs(t, y)`` it is an ordinary right-hand
+    side, the bit reference for the loop that ``integrate`` runs it in."""
+    b: float
 
     def __call__(self, t, y):
         y1, y2, y3 = y
-        return (y2, y3, self.g(y1, y2, y3, self.p))
+        return (y2, y3, model.forcing(y1, y2, y3, self.b))
 
 
 def step_bs23(rhs, t, y, h, f_start):
@@ -232,63 +232,65 @@ def integrate(rhs, t0, t_end, y0, opts=IvpOptions(), t_eval=None):
 def _integrate_third_order(rhs, t, t_end, y, samples, opts, end_only):
     """``integrate`` for a ThirdOrder: the loop above with ``step_bs23``
     and the error norm on scalar locals.  Slope components 1 and 2 are
-    state components 2 and 3, so only g is called, and the stage and FSAL
-    slopes need no tuples.  The operations and their order are those of
-    the loop above, so the bits, the counts and the exceptions are the
-    same."""
+    state components 2 and 3, so the stage and FSAL slopes need no tuples
+    and each evaluates only ``model.forcing``, written inline with its
+    operations in its order.  |y| is carried over from the accepted
+    step, and one counter counts the attempted steps; the rejected ones
+    are counted apart, as they are rare.  The operations and their order
+    are those of the loop above, so the bits, the counts and the
+    exceptions are the same."""
     y1, y2, y3 = y
-    g, p = rhs.g, rhs.p
+    b = rhs.b
     rel_tol, abs_tol, max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
     sqrt, limit = math.sqrt, OVERFLOW_LIMIT
-    f3 = g(y1, y2, y3, p)            # the slope at y is (y2, y3, f3)
-    nev = 1
-    accepted = rejected = 0
+    f3 = model.forcing(y1, y2, y3, b)   # the slope at y is (y2, y3, f3)
+    a1, a2, a3 = abs(y1), abs(y2), abs(y3)
+    steps = rejected = 0
     h = _first_step(y, (y2, y3, f3), t_end - t, opts)
     out = []
     for t_next in samples:
         while t < t_next:
-            if accepted + rejected >= max_steps:
+            if steps >= max_steps:
                 raise StepCountExceeded(t, max_steps)
+            steps += 1
             landing = h >= t_next - t
             if landing:
                 h = t_next - t
             a = 0.5 * h
             k21 = y2 + a * y3
             k22 = y3 + a * f3
-            k23 = g(y1 + a * y2, k21, k22, p)
+            u1 = y1 + a * y2
+            k23 = b * (k21 * k21 - u1 * k22) + u1 - 1.0
             a = 0.75 * h
             k31 = y2 + a * k22
             k32 = y3 + a * k23
-            k33 = g(y1 + a * k21, k31, k32, p)
+            u1 = y1 + a * k21
+            k33 = b * (k31 * k31 - u1 * k32) + u1 - 1.0
             hi1 = y1 + h * ((2.0 / 9.0) * y2 + (1.0 / 3.0) * k21
                             + (4.0 / 9.0) * k31)
             hi2 = y2 + h * ((2.0 / 9.0) * y3 + (1.0 / 3.0) * k22
                             + (4.0 / 9.0) * k32)
             hi3 = y3 + h * ((2.0 / 9.0) * f3 + (1.0 / 3.0) * k23
                             + (4.0 / 9.0) * k33)
-            k43 = g(hi1, hi2, hi3, p)
-            nev += 3
+            k43 = b * (hi2 * hi2 - hi1 * hi3) + hi1 - 1.0
             # The second-order solution, scaled error and RMS norm.
-            a = abs(y1)
             b1 = abs(hi1)
             q1 = (hi1 - (y1 + h * ((7.0 / 24.0) * y2 + 0.25 * k21
                                    + (1.0 / 3.0) * k31 + 0.125 * hi2))) \
-                / (abs_tol + rel_tol * (a if a >= b1 else b1))
-            a = abs(y2)
+                / (abs_tol + rel_tol * (a1 if a1 >= b1 else b1))
             b2 = abs(hi2)
             q2 = (hi2 - (y2 + h * ((7.0 / 24.0) * y3 + 0.25 * k22
                                    + (1.0 / 3.0) * k32 + 0.125 * hi3))) \
-                / (abs_tol + rel_tol * (a if a >= b2 else b2))
-            a = abs(y3)
+                / (abs_tol + rel_tol * (a2 if a2 >= b2 else b2))
             b3 = abs(hi3)
             q3 = (hi3 - (y3 + h * ((7.0 / 24.0) * f3 + 0.25 * k23
                                    + (1.0 / 3.0) * k33 + 0.125 * k43))) \
-                / (abs_tol + rel_tol * (a if a >= b3 else b3))
+                / (abs_tol + rel_tol * (a3 if a3 >= b3 else b3))
             enorm = sqrt((q1 * q1 + q2 * q2 + q3 * q3) / 3)
             if enorm <= 1.0:
                 t = t_next if landing else t + h
                 y1, y2, y3, f3 = hi1, hi2, hi3, k43
-                accepted += 1
+                a1, a2, a3 = b1, b2, b3
                 # A NaN or inf fails the norm, so b1..b3 are finite here
                 # and max is the magnitude of the loop above.
                 if b1 > limit or b2 > limit or b3 > limit:
@@ -300,5 +302,5 @@ def _integrate_third_order(rhs, t, t_end, y, samples, opts, end_only):
             h *= (_FAC_MAX if factor >= _FAC_MAX else
                   factor if factor > _FAC_MIN else _FAC_MIN)
         out.append((y1, y2, y3))
-    stats = IvpStats(accepted, rejected, nev)
+    stats = IvpStats(steps - rejected, rejected, 3 * steps + 1)
     return np.array(out[-1] if end_only else out), stats

@@ -77,7 +77,7 @@ class ShootingResult:
 def _rhs3(prob):
     # The three-equation system in companion form; only the forcing is
     # evaluated per stage.
-    return ivp.ThirdOrder(model.forcing, prob.params.b)
+    return ivp.ThirdOrder(prob.params.b)
 
 
 def _converged(beta, beta_prev, F, tol):

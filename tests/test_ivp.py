@@ -131,6 +131,10 @@ class TestFloatState:
                 stats.rhs_evaluations) == (105_868, 17, 317_656)
         assert y.shape == (3,)
         assert abs(y[0] - 1.0) > 1.0
+        # Its final state, bit for bit.
+        assert [v.hex() for v in y.tolist()] == [
+            "0x1.53caef00b1ca4p+17", "0x1.bc8140b39543ep+17",
+            "0x1.225048283b136p+18"]
 
     def test_ndarray_state_and_rhs_match_tuples(self):
         # ndarray states with an ndarray-returning rhs take the same steps
@@ -234,14 +238,14 @@ def _generic(rhs):
 
 
 class TestThirdOrder:
-    @pytest.mark.parametrize("b", [0.0, 2.0, 8.0])
+    @pytest.mark.parametrize("b", [0.0, 2.0, 8.0, 50.0])
     @pytest.mark.parametrize("kind", list(BcKind))
     @pytest.mark.parametrize("rel_tol", [1e-3, 1e-9])
     @pytest.mark.parametrize("sampled", [False, True],
                              ids=["end", "t_eval"])
     def test_fused_loop_equals_generic_path(self, b, kind, rel_tol,
                                             sampled):
-        rhs = ivp.ThirdOrder(model.forcing, b)
+        rhs = ivp.ThirdOrder(b)
         y0 = model.bc_initial(kind, model.approx_missing_init(kind, b))
         opts = IvpOptions(rel_tol=rel_tol, abs_tol=1e-3 * rel_tol)
         t_eval = np.linspace(0.0, 10.0, 41)[1:] if sampled else None
@@ -249,16 +253,16 @@ class TestThirdOrder:
         assert got == _outcome(_generic(rhs), y0, opts, t_eval)
         assert len(got) == 3    # no exception on this path
 
-    @pytest.mark.parametrize("g,beta,max_steps,error", [
-        (model.forcing, 0.8, 1_000_000, Overflow),
-        (model.forcing, 2.0, 1000, StepCountExceeded),
-        (lambda u1, u2, u3, b: u1 - 1.0 if u1 < 0.1 else math.nan, 2.0,
-         1000, StepCountExceeded),
+    @pytest.mark.parametrize("b,beta,max_steps,error", [
+        (2.0, 0.8, 1_000_000, Overflow),
+        (2.0, 2.0, 1000, StepCountExceeded),
+        (math.nan, 2.0, 1000, StepCountExceeded),
     ], ids=["overflow", "step-budget", "nan-slope"])
-    def test_same_exception_at_same_point(self, g, beta, max_steps, error):
+    def test_same_exception_at_same_point(self, b, beta, max_steps, error):
         # b = 2, no-slip: below the root the profile overflows, far above
-        # it the integration spends its step budget.
-        rhs = ivp.ThirdOrder(g, 2.0)
+        # it the integration spends its step budget.  With a NaN b the
+        # forcing is NaN at every stage, so every step is rejected.
+        rhs = ivp.ThirdOrder(b)
         y0 = model.bc_initial(BcKind.NO_SLIP, beta)
         opts = IvpOptions(max_steps=max_steps)
         got = _outcome(rhs, y0, opts)
@@ -267,7 +271,7 @@ class TestThirdOrder:
 
     @pytest.mark.parametrize("b", [0.0, 2.0, 8.0])
     def test_call_equals_model_rhs(self, b):
-        rhs = ivp.ThirdOrder(model.forcing, b)
+        rhs = ivp.ThirdOrder(b)
         rng = np.random.default_rng(11)
         for _ in range(50):
             y = rng.uniform(-3.0, 3.0, 3)
@@ -275,15 +279,12 @@ class TestThirdOrder:
                 rhs(0.5, tuple(y.tolist())), model.rhs(0.5, y, ModelParams(b)))
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_wrong_length_fails_before_first_step(self, n):
+    def test_wrong_length_fails_before_first_step(self, n, monkeypatch):
         calls = []
-
-        def g(u1, u2, u3, b):
-            calls.append(u1)
-            return 0.0
-
+        monkeypatch.setattr(model, "forcing",
+                            lambda *u: calls.append(u) or 0.0)
         with pytest.raises(ValueError):
-            ivp.integrate(ivp.ThirdOrder(g, 2.0), 0.0, 1.0, [1.0] * n)
+            ivp.integrate(ivp.ThirdOrder(2.0), 0.0, 1.0, [1.0] * n)
         assert calls == []
 
 
