@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -37,10 +36,6 @@ COMPARISON_HEADER = ["method", "boundary", "gridpoints", "iterations", "beta"]
 PROFILE_HEADER = ["xi", "u", "du", "d2u"]
 SWEEP_HEADER = ["b", "beta_numeric", "beta_approx", "relative_gap", "status",
                 "error"]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # -- methods -----------------------------------------------------------------
@@ -79,7 +74,7 @@ def _fbf_problem(kind, b, o):
 
 def _fbf(kind, b, o, warm):
     if len(o["eps"]) != 1:
-        raise ConfigError("method fbf takes one --eps value")
+        raise ValueError("method fbf takes one --eps value")
     prob = _fbf_problem(kind, b, o)
     initial = None if warm is None else warm.iterate
     sol, rep = free_boundary.solve_fbf(prob, initial=initial)
@@ -91,7 +86,8 @@ def _fbf(kind, b, o, warm):
 def _fbf_continuation(kind, b, o, warm):
     eps = o["eps"]
     results = free_boundary.continuation_solve(_fbf_problem(kind, b, o), eps)
-    stages = [{"eps": e, "beta": s.beta, "boundary": s.free_boundary,
+    stages = [{"eps": e, "beta": float(s.beta),
+               "boundary": float(s.free_boundary),
                "iterations": r.iterations} for e, (s, r) in zip(eps, results)]
     sol = results[-1][0]
     return {"beta": sol.beta, "boundary": sol.free_boundary,
@@ -140,13 +136,13 @@ def _flag(name):
 def _options(method, **given):
     """The options ``method`` reads: its defaults under the given values.
     A value of None counts as absent; one for an option the method does
-    not read is a ConfigError."""
+    not read is a ValueError."""
     defaults = METHODS[method][1]
     given = {k: v for k, v in given.items() if v is not None}
     for name in given:
         if name not in defaults:
-            raise ConfigError(f"{_flag(name)} does not apply to method "
-                              f"{method}")
+            raise ValueError(f"{_flag(name)} does not apply to method "
+                             f"{method}")
     return {**defaults, **given}
 
 
@@ -224,20 +220,16 @@ def sweep_b(b_values, method, kind, J=None, c=None):
     approximation.  Each solve is warm-started from the last converged
     one: shooting from its beta, relaxation from its full iterate."""
     if method not in SWEEP_METHODS:
-        raise ConfigError(f"method {method} cannot be swept; choose one of "
-                          f"{', '.join(SWEEP_METHODS)}")
+        raise ValueError(f"method {method} cannot be swept; choose one of "
+                         f"{', '.join(SWEEP_METHODS)}")
     options = _options(method, J=J, c=c)
     if "beta0" in options:
         options["beta0"] = 1.0  # the Munk-limit beta starts shooting
-    b_values = list(b_values)
-    for b in b_values:
-        if not (math.isfinite(b) and b >= 0):
-            raise ConfigError(f"b values must be finite and non-negative, "
-                              f"got {b}")
+    # approx_missing_init rejects a bad b before the first solve.
+    approxes = [(b, approx_missing_init(kind, b)) for b in b_values]
     rows = []
     warm = None
-    for b in b_values:
-        approx = approx_missing_init(kind, b)
+    for b, approx in approxes:
         try:
             report, warm = _solve(method, kind, b, options, warm)
         except SOLVER_ERRORS as err:
@@ -337,8 +329,8 @@ def main(argv=None):
                                **{n: getattr(args, n) for n in OPTIONS})
             missing = [n for n, v in options.items() if v is None]
             if missing:
-                raise ConfigError(f"{_flag(missing[0])} is required for "
-                                  f"method {args.method}")
+                raise ValueError(f"{_flag(missing[0])} is required for "
+                                 f"method {args.method}")
             report, solution = _solve(args.method, BcKind(args.bc), args.b,
                                       options)
             if args.command == "solve":

@@ -144,7 +144,7 @@ def approx_missing_init(kind, b):
     Slippery: u'(0)  ~ 2 / (1 + sqrt(1 + 10b/3))
     """
     if not 0 <= b < math.inf:
-        raise ValueError("b must be finite and non-negative")
+        raise ValueError(f"b must be finite and non-negative, got {b}")
     if check_kind(kind) is BcKind.NO_SLIP:
         return math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * b / 3.0)))
     return 2.0 / (1.0 + math.sqrt(1.0 + 10.0 * b / 3.0))

@@ -74,12 +74,6 @@ class ShootingResult:
         return _dense_trajectory(self.beta, self.problem)
 
 
-def _rhs3(prob):
-    # The three-equation system in companion form; only the forcing is
-    # evaluated per stage.
-    return ivp.ThirdOrder(prob.params.b)
-
-
 def _converged(beta, beta_prev, F, tol):
     # Conjunction of the relative beta-update test and the residual test;
     # neither alone terminates the iteration.  The relative test is taken
@@ -100,19 +94,18 @@ def _dense_trajectory(beta, prob):
     that the steps land on."""
     xi = np.linspace(0.0, prob.xi_infinity, DENSE_SAMPLES)
     y0 = model.bc_initial(prob.kind, beta)
-    u, _ = ivp.integrate(_rhs3(prob), 0.0, prob.xi_infinity, y0,
-                         _DENSE_OPTS, t_eval=xi[1:])
+    u, _ = ivp.integrate(ivp.ThirdOrder(prob.params.b), 0.0,
+                         prob.xi_infinity, y0, _DENSE_OPTS, t_eval=xi[1:])
     return MeshSolution(xi=xi, u=np.vstack([y0, u]), beta=beta)
 
 
-def _shoot(method, prob, seeds, y0, step):
+def _shoot(method, prob, rhs, seeds, y0, step):
     """The one shooting loop.  A point is (beta, F, y), y the state at
-    xi_infinity from ``y0(beta)``: three components (secant) or six with
-    the sensitivity (Newton).  Iteration k is the k-th ``step`` from the
-    last two points, then its integration; seeds are not iterations."""
-    p, stats = prob.params, ivp.IvpStats()
-    rhs = (_rhs3(prob) if method == "secant"
-           else lambda t, y: model.rhs_variational(t, y, p))
+    xi_infinity of y' = rhs(t, y) from ``y0(beta)``: three components
+    (secant) or six with the sensitivity (Newton).  Iteration k is the
+    k-th ``step`` from the last two points, then its integration; seeds
+    are not iterations.  ``method`` names the loop in MaxIterations."""
+    stats = ivp.IvpStats()
 
     def point(beta):
         try:
@@ -147,7 +140,8 @@ def solve_secant(beta0, beta1, prob):
                 f"|F({b_cur:.8g}) - F({b_prev:.8g})| < 1e-14")
         return b_cur - f_cur * (b_cur - b_prev) / (f_cur - f_prev)
 
-    return _shoot("secant", prob, (beta0, beta1),
+    return _shoot("secant", prob, ivp.ThirdOrder(prob.params.b),
+                  (beta0, beta1),
                   lambda beta: model.bc_initial(prob.kind, beta), step)
 
 
@@ -165,4 +159,6 @@ def solve_newton(beta0, prob):
             raise SingularDerivative(f"|F'({beta:.8g})| = {abs(dF):.3g}")
         return beta - F / dF
 
-    return _shoot("newton", prob, (beta0,), y0, step)
+    p = prob.params
+    return _shoot("newton", prob, lambda t, y: model.rhs_variational(t, y, p),
+                  (beta0,), y0, step)

@@ -38,7 +38,7 @@ def test_exports_are_pinned():
     (ShootingProblem, ["params", "kind", "xi_infinity", "tol", "ivp_opts"]),
     (FbfProblem, ["params", "kind", "eps", "J", "tol"]),
     (QugProblem, ["params", "kind", "c", "J", "tol"]),
-    (IvpOptions, ["rel_tol", "abs_tol", "max_steps"]),
+    (IvpOptions, ["rel_tol", "abs_tol"]),
     (IvpStats, ["accepted_steps", "rejected_steps", "rhs_evaluations"]),
     (NewtonReport, ["iterations", "final_update_norm"]),
     (ShootingResult, ["beta", "iterations", "residual", "problem", "stats"]),
@@ -113,10 +113,6 @@ INF = math.inf
     lambda: solve_qug(5.0, 200, ModelParams(2.0), "no-slip"),
     lambda: approx_missing_init("no-slip", 2.0),
     lambda: bc_initial("no-slip", 1.0),
-    lambda: IvpOptions(max_steps=NAN),
-    lambda: IvpOptions(max_steps=INF),
-    lambda: IvpOptions(max_steps=-3),
-    lambda: IvpOptions(max_steps=2.5),
     lambda: integrate(lambda t, y: y, 0.0, 1.0, []),
     lambda: FbfProblem(params=2.0),
     lambda: QugProblem(params=2.0),
@@ -132,9 +128,7 @@ INF = math.inf
         "qug-solve-J-fraction", "qug-problem-tol-nan",
         "qug-problem-tol-infinite", "shoot-kind-string", "fbf-kind-string",
         "qug-kind-string", "qug-solve-kind-string", "approx-kind-string",
-        "bc-initial-kind-string", "ivp-max-steps-nan",
-        "ivp-max-steps-infinite", "ivp-max-steps-negative",
-        "ivp-max-steps-fraction", "ivp-y0-empty", "fbf-params-float",
+        "bc-initial-kind-string", "ivp-y0-empty", "fbf-params-float",
         "qug-params-float", "qug-solve-params-float", "shoot-params-float",
         "shoot-ivp-opts-none"])
 def test_nan_is_rejected_where_it_enters(make):
@@ -145,4 +139,3 @@ def test_nan_is_rejected_where_it_enters(make):
 def test_numpy_integer_grid_sizes_are_accepted():
     assert FbfProblem(J=np.int64(40)).J == 40
     assert QugProblem(J=np.int32(20)).J == 20
-    assert IvpOptions(max_steps=np.int64(5)).max_steps == 5

@@ -56,6 +56,14 @@ class TestSolve:
         assert "beta:" in out
         assert "rhs_evaluations" in out
 
+    def test_continuation_table_shows_plain_floats(self, capsys):
+        # The table format prints the repr of each stage's values.
+        code, out, _ = run(capsys, "solve", "--method", "fbf-continuation",
+                           "--J", "50", "--eps", "1e-2", "--eps", "1e-3")
+        assert code == 0
+        assert "stages: [{'eps': 0.01, 'beta': " in out
+        assert "np.float64" not in out
+
     def test_csv_format_is_flat(self, capsys):
         code, out, _ = run(capsys, "solve", "--method", "qug",
                            "--format", "csv")
@@ -219,8 +227,12 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_b_is_config_error(self, bad):
-        with pytest.raises(cli.ConfigError):
+    def test_non_finite_b_is_config_error(self, monkeypatch, bad):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before every b was checked")
+
+        monkeypatch.setattr(quasi_uniform, "solve_qug", never)
+        with pytest.raises(ValueError, match=f"got {bad}"):
             cli.sweep_b([0.0, bad], "qug", BcKind.SLIP, J=50, c=5.0)
 
     def test_warm_started_qug_converges_to_large_b(self):
@@ -258,7 +270,7 @@ class TestSweep:
             raise AssertionError("solved before the method was checked")
 
         monkeypatch.setattr(free_boundary, "continuation_solve", never)
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(ValueError):
             cli.sweep_b([1.0], method, BcKind.SLIP)
 
     def test_method_choices_are_the_sweepable_methods(self, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oceanbvp import ivp, model, shooting
+from oceanbvp import ivp, model
 from oceanbvp.ivp import IvpOptions, Overflow, StepCountExceeded
 from oceanbvp.model import BcKind, ModelParams
 
@@ -86,10 +86,11 @@ class TestIntegrate:
             errs.append(abs(y[0] - math.exp(-1.0)))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
-    def test_step_count_exceeded(self):
-        opts = IvpOptions(max_steps=5)
-        with pytest.raises(StepCountExceeded):
-            ivp.integrate(decay, 0.0, 100.0, np.array([1.0]), opts)
+    def test_step_count_exceeded(self, monkeypatch):
+        monkeypatch.setattr(ivp, "MAX_STEPS", 5)
+        with pytest.raises(StepCountExceeded) as err:
+            ivp.integrate(decay, 0.0, 100.0, np.array([1.0]))
+        assert err.value.max_steps == 5
 
     def test_overflow_guard(self):
         with pytest.raises(Overflow) as err:
@@ -124,7 +125,7 @@ class TestFloatState:
         # The heaviest single root-finding integration of the secant run
         # from the no-slip seed beta = 2; its step sequence is pinned, and
         # at the bad beta the solution runs far from u = 1.
-        rhs = shooting._rhs3(shooting.ShootingProblem())
+        rhs = ivp.ThirdOrder(2.0)
         y0 = model.bc_initial(BcKind.NO_SLIP, 2.0)
         y, stats = ivp.integrate(rhs, 0.0, 10.0, y0)
         assert (stats.accepted_steps, stats.rejected_steps,
@@ -143,14 +144,13 @@ class TestFloatState:
         y0 = model.bc_initial(BcKind.SLIP, 0.53)
         ya, sa = ivp.integrate(lambda t, u: model.rhs(t, u, p),
                                0.0, 10.0, y0)
-        yb, sb = ivp.integrate(shooting._rhs3(shooting.ShootingProblem(
-            params=p)), 0.0, 10.0, tuple(y0.tolist()))
+        yb, sb = ivp.integrate(ivp.ThirdOrder(p.b), 0.0, 10.0,
+                               tuple(y0.tolist()))
         np.testing.assert_array_equal(ya, yb)
         assert sa == sb
         steps = []
         for rhs, y in ((lambda t, u: model.rhs(t, u, p), y0),
-                       (shooting._rhs3(shooting.ShootingProblem(params=p)),
-                        tuple(y0.tolist()))):
+                       (ivp.ThirdOrder(p.b), tuple(y0.tolist()))):
             steps.append(ivp.step_bs23(rhs, 0.0, y, 0.01, rhs(0.0, y)))
         for a, b in zip(*steps):
             np.testing.assert_array_equal(a, b)
@@ -258,16 +258,17 @@ class TestThirdOrder:
         (2.0, 2.0, 1000, StepCountExceeded),
         (math.nan, 2.0, 1000, StepCountExceeded),
     ], ids=["overflow", "step-budget", "nan-slope"])
-    def test_same_exception_at_same_point(self, b, beta, max_steps, error):
+    def test_same_exception_at_same_point(self, b, beta, max_steps, error,
+                                          monkeypatch):
         # b = 2, no-slip: below the root the profile overflows, far above
         # it the integration spends its step budget.  With a NaN b the
         # forcing is NaN at every stage, so every step is rejected.
+        monkeypatch.setattr(ivp, "MAX_STEPS", max_steps)
         rhs = ivp.ThirdOrder(b)
         y0 = model.bc_initial(BcKind.NO_SLIP, beta)
-        opts = IvpOptions(max_steps=max_steps)
-        got = _outcome(rhs, y0, opts)
+        got = _outcome(rhs, y0)
         assert got[0] is error
-        assert got == _outcome(_generic(rhs), y0, opts)
+        assert got == _outcome(_generic(rhs), y0)
 
     @pytest.mark.parametrize("b", [0.0, 2.0, 8.0])
     def test_call_equals_model_rhs(self, b):

@@ -72,8 +72,7 @@ class TestSecant:
         # Reference: one integration per sample interval, restarted from
         # the previous sample, as the profile was first computed.
         traj = newton_b2[kind].trajectory
-        prob = ShootingProblem(params=B2, kind=kind)
-        rhs = shooting._rhs3(prob)
+        rhs = ivp.ThirdOrder(B2.b)
         ref = [model.bc_initial(kind, traj.beta)]
         for t0, t1 in zip(traj.xi, traj.xi[1:]):
             y, _ = ivp.integrate(rhs, t0, t1, ref[-1], shooting._DENSE_OPTS)
@@ -132,11 +131,11 @@ class TestNewton:
         for kind in BcKind:
             assert abs(secant_b2[kind].beta - newton_b2[kind].beta) < 5e-5
 
-    def test_divergence_outside_basin(self):
+    def test_divergence_outside_basin(self, monkeypatch):
         # Below the basin the trajectory blows up towards -infinity; the
         # solver must fail loudly instead of reporting a spurious root.
-        prob = ShootingProblem(params=B2, kind=BcKind.NO_SLIP,
-                               ivp_opts=ivp.IvpOptions(max_steps=300_000))
+        monkeypatch.setattr(ivp, "MAX_STEPS", 300_000)
+        prob = ShootingProblem(params=B2, kind=BcKind.NO_SLIP)
         with pytest.raises((ivp.Overflow, ivp.StepCountExceeded,
                             shooting.MaxIterations)) as err:
             shooting.solve_newton(0.8, prob)

@@ -1,12 +1,15 @@
-"""perfbench's tracer patches fixed module attributes of the package, and
-a traced run gates on perfbench's block-solver check; a refactor that
-drops or bypasses one of the patched names, or breaks the check, shows up
-here rather than only in a traced benchmark run."""
+"""perfbench's tracer patches fixed module attributes of the package, a
+traced run gates on perfbench's block-solver check, and every workload
+checks its results against the published and closed-form references; a
+refactor that drops or bypasses one of the patched names, renames a name
+a workload calls, or breaks one of those checks, shows up here rather
+than only in a benchmark run."""
 
 import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 from oceanbvp import cli, free_boundary, quasi_uniform
 from oceanbvp.model import BcKind, ModelParams
@@ -44,3 +47,16 @@ def test_block_solver_check_passes():
     check = _load("kernels").check_block_solver
     for seed in (1, 2, 3):
         assert check(np.random.default_rng(seed)) < 1e-10, seed
+
+
+WORKLOADS = _load("workloads")
+# Solves checked in one pass at seed 0: the eight relaxation rows, the
+# four shooting rows, and the b values of the four sweeps.
+ATTEMPTED = {"relax-tables": 8, "shoot-tables": 4, "sweep": 34}
+
+
+@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
+def test_workload_pass_is_correct(name):
+    result = WORKLOADS.run_pass(WORKLOADS.build(name, 0))
+    assert (result.failed, result.errors, result.failures) == (0, [], [])
+    assert result.attempted == ATTEMPTED[name]
